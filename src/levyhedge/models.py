@@ -23,6 +23,7 @@ Everything is in discounted terms; there is no interest-rate parameter.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -186,23 +187,33 @@ def _check_strip(model: LevyModelSpec, re_z: np.ndarray) -> None:
 # which decays only algebraically: the exponential part of the distinguished
 # log is exact and only q needs winding tracked.  That is done with a ladder
 # of finely spaced samples per (model, Re z) line, anchored at v = 0 where q
-# is real and positive; conjugate symmetry maps v < 0 onto v > 0.
+# is real and positive; conjugate symmetry maps v < 0 onto v > 0.  A ladder
+# is the unwrapped argument of q at the rungs v = k * step, k = 0, 1, ...;
+# when a contour needs more height it grows from its top rung.
 
 _HYP_LADDER_CACHE: dict = {}
 _HYP_CACHE_LIMIT = 64
 
 
-def _hyp_parts(model: Hyperbolic, z):
-    """(s(z), q(z)) with ratio = exp(-delta (s - s0)) q and kappa(0) = 0.
+@functools.lru_cache(maxsize=_HYP_CACHE_LIMIT)
+def _hyp_anchor(alpha: float, beta: float, delta: float) -> tuple:
+    """(s0, K1e(delta s0)) with s0 = sqrt(alpha^2 - beta^2): the value of
+    s and of the scaled Bessel factor at z = 0, fixed per model.  Kept out
+    of the node batches: high on a contour, its continued fraction would
+    be the slowest element of every batch."""
+    s0 = complex(np.sqrt(complex(alpha ** 2 - beta ** 2)))
+    return s0, bessel_k1e(delta * s0)
 
-    q(0) goes through the identical complex code path as q(z), so it is
-    bitwise 1 at z = 0.
+
+def _hyp_parts(model: Hyperbolic, z):
+    """(s(z), s0, q(z)) with ratio = exp(-delta (s - s0)) q and kappa(0) = 0.
+
+    Bessel values do not depend on the array they are evaluated in, so
+    q(0) is bitwise 1 at z = 0.
     """
-    a2 = model.alpha ** 2
-    s0 = complex(np.sqrt(complex(a2 - model.beta ** 2)))
-    s = np.sqrt((a2 - (model.beta + z) ** 2).astype(complex)
-                if np.ndim(z) else complex(a2 - (model.beta + z) ** 2))
-    q = (s0 / s) * (bessel_k1e(model.delta * s) / bessel_k1e(model.delta * s0))
+    s0, k0 = _hyp_anchor(model.alpha, model.beta, model.delta)
+    s = np.sqrt(model.alpha ** 2 - (model.beta + np.asarray(z, dtype=complex)) ** 2)
+    q = (s0 / s) * (bessel_k1e(model.delta * s) / k0)
     return s, s0, q
 
 
@@ -213,19 +224,27 @@ def _hyp_ratio(model: Hyperbolic, z):
 
 
 def _hyp_ladder(model: Hyperbolic, R: float, v_max: float):
+    """(step, args): the unwrapped arg of q at v = k * step, up to v_max."""
     key = (model.alpha, model.beta, model.delta, model.mu, R)
     step = 0.5 / (2.0 + model.delta)
-    entry = _HYP_LADDER_CACHE.get(key)
-    if entry is not None and entry[0][-1] >= v_max:
-        return entry
+    args = _HYP_LADDER_CACHE.get(key)
+    if args is not None and (args.size - 1) * step >= v_max:
+        return step, args
     n = int(math.ceil(v_max / step)) + 2
-    v = np.linspace(0.0, step * n, n + 1)
-    _, _, q = _hyp_parts(model, R + 1j * v)
-    logs = continuous_log(q)
-    if len(_HYP_LADDER_CACHE) >= _HYP_CACHE_LIMIT:
-        _HYP_LADDER_CACHE.clear()
-    _HYP_LADDER_CACHE[key] = (v, logs.imag)
-    return _HYP_LADDER_CACHE[key]
+    if args is None:
+        _, _, q = _hyp_parts(model, R + 1j * step * np.arange(n + 1))
+        args = continuous_log(q).imag
+        if len(_HYP_LADDER_CACHE) >= _HYP_CACHE_LIMIT:
+            _HYP_LADDER_CACHE.clear()
+    else:
+        # the top rung is evaluated again so that continuous_log checks the
+        # seam; its new phase is moved onto the stored one
+        top = args.size - 1
+        _, _, q = _hyp_parts(model, R + 1j * step * np.arange(top, n + 1))
+        more = continuous_log(q).imag
+        args = np.concatenate((args, more[1:] + (args[-1] - more[0])))
+    _HYP_LADDER_CACHE[key] = args
+    return step, args
 
 
 def _hyp_kappa(model: Hyperbolic, z):
@@ -247,8 +266,10 @@ def _hyp_kappa(model: Hyperbolic, z):
     R = float(re[0])
     v = zz.imag
     sgn = np.where(v >= 0.0, 1.0, -1.0)
-    ladder_v, ladder_arg = _hyp_ladder(model, R, float(np.max(np.abs(v))) + 1.0)
-    target = np.interp(np.abs(v), ladder_v, ladder_arg)
+    step, ladder = _hyp_ladder(model, R, float(np.max(np.abs(v))) + 1.0)
+    x = np.abs(v) / step
+    i = np.minimum(x.astype(np.intp), ladder.size - 2)
+    target = ladder[i] + (x - i) * (ladder[i + 1] - ladder[i])
     # winding correction applies on |v|; conjugate symmetry restores sign
     k = np.round((target - log_q.imag * sgn) / (2.0 * math.pi))
     arg_abs = log_q.imag * sgn + 2.0 * math.pi * k

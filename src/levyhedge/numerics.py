@@ -102,81 +102,114 @@ class QuadratureResult:
 # Special functions
 # ---------------------------------------------------------------------------
 
-def _k1_series(w: complex) -> complex:
+def _k1_series(w: np.ndarray) -> np.ndarray:
     # Ascending series around 0:
     #   K1(w) = 1/w + I1(w) log(w/2) - (w/4) sum_k [psi(k+1)+psi(k+2)] q^k/(k!(k+1)!)
-    # with q = w^2/4.  Used for |w| < 2 where no cancellation occurs.
+    # with q = w^2/4.  Used for |w| < 2 where no cancellation occurs.  The
+    # psi sum is common to every element; each element stops at its own
+    # term and leaves the working arrays once it has converged.
     q = 0.25 * w * w
-    lw = cmath.log(0.5 * w)
-    term = 1.0 + 0j                      # q^k / (k! (k+1)!)
     psi_sum = 1.0 - 2.0 * EULER_GAMMA    # psi(k+1) + psi(k+2) at k = 0
-    s = term * psi_sum
+    i1_out = np.empty_like(w)
+    s_out = np.empty_like(w)
+    live = np.arange(w.size)
+    term = np.ones_like(w)               # q^k / (k! (k+1)!)
     i1 = term
+    s = term * psi_sum
     for k in range(1, 80):
-        term *= q / (k * (k + 1))
-        i1 += term
+        term = term * (q / (k * (k + 1)))
+        i1 = i1 + term
         psi_sum += 1.0 / k + 1.0 / (k + 1)
         ds = term * psi_sum
-        s += ds
-        if abs(ds) <= 1e-18 * abs(s):
-            break
-    i1 *= 0.5 * w
-    return 1.0 / w + lw * i1 - 0.25 * w * s
+        s = s + ds
+        done = np.abs(ds) <= 1e-18 * np.abs(s)
+        if np.count_nonzero(done):
+            i1_out[live[done]] = i1[done]
+            s_out[live[done]] = s[done]
+            keep = ~done
+            live, q, term, i1, s = live[keep], q[keep], term[keep], i1[keep], s[keep]
+            if not live.size:
+                break
+    # elements still live after 80 terms keep their partial sums
+    i1_out[live] = i1
+    s_out[live] = s
+    return 1.0 / w + np.log(0.5 * w) * (i1_out * (0.5 * w)) - 0.25 * w * s_out
 
 
-def _k1_scalar(w: complex, scaled: bool) -> complex:
-    if w.real <= 0.0:
-        raise DomainError(f"bessel_k1 requires Re(w) > 0, got {w}")
-    if abs(w) < 2.0:
-        val = _k1_series(w)
-        return val * cmath.exp(w) if scaled else val
+def _k1_cf(w: np.ndarray, scaled: bool) -> np.ndarray:
     # Thompson-Barnett evaluation of the second continued fraction at
     # order 0, giving K0 and then K1 by the Wronskian-style relation;
     # converges for Re(w) > 0.  It produces K1 = e^{-w} * (algebraic
-    # part), so in scaled mode the exponential is simply omitted.
+    # part), so in scaled mode the exponential is simply omitted.  The
+    # recurrence coefficients a and c do not depend on w, so they stay
+    # scalars; converged elements leave the working arrays.
     b = 2.0 * (1.0 + w)
-    d = 1.0 / b
+    d = np.reciprocal(b)
     h = d
     delh = d
-    q1, q2 = 0.0 + 0j, 1.0 + 0j
+    q1 = np.zeros_like(w)
+    q2 = np.ones_like(w)
     a1 = 0.25
-    q = a1 + 0j
-    c = a1 + 0j
+    q = np.full_like(w, a1)
+    c = a1
     a = -a1
     s = 1.0 + q * delh
+    h_out = np.empty_like(w)
+    s_out = np.empty_like(w)
+    live = np.arange(w.size)
     for i in range(2, 40001):
         a -= 2 * (i - 1)
         c = -a * c / i
         qnew = (q1 - b * q2) / a
         q1, q2 = q2, qnew
-        q += c * qnew
-        b += 2.0
-        d = 1.0 / (b + a * d)
-        delh = (b * d - 1.0) * delh
-        h += delh
+        q = q + c * qnew
+        b = b + 2.0
+        # d' = 1/(b + a d) and delh' = (b d' - 1) delh, with b d' - 1
+        # written as -a d d' to save an array operation
+        t = d * -a
+        d = np.reciprocal(b - t)
+        delh = (t * d) * delh
+        h = h + delh
         dels = q * delh
-        s += dels
-        if abs(dels) <= 1e-17 * abs(s):
-            break
+        s = s + dels
+        done = np.abs(dels) <= 1e-17 * np.abs(s)
+        # on the short arrays of quadrature batches, count_nonzero is the
+        # cheapest test for any True
+        if np.count_nonzero(done):
+            h_out[live[done]] = h[done]
+            s_out[live[done]] = s[done]
+            keep = ~done
+            live = live[keep]
+            if not live.size:
+                break
+            b, d, h, delh, q1, q2, q, s = (
+                x[keep] for x in (b, d, h, delh, q1, q2, q, s))
     else:
-        raise DomainError(f"bessel_k1: continued fraction failed to converge at w={w}")
-    h = a1 * h
-    k0 = cmath.sqrt(math.pi / (2.0 * w)) / s
+        raise DomainError("bessel_k1: continued fraction failed to converge "
+                          f"at w={complex(w[live[0]])}")
+    k0 = np.sqrt(math.pi / (2.0 * w)) / s_out
     if not scaled:
-        k0 *= cmath.exp(-w)
-    return k0 * (w + 0.5 - h) / w
+        k0 = k0 * np.exp(-w)
+    return k0 * (w + 0.5 - a1 * h_out) / w
 
 
-def _k1_vectorized(w, scaled: bool):
-    if np.ndim(w) == 0:
-        return _k1_scalar(complex(w), scaled)
+def _k1(w, scaled: bool):
     arr = np.asarray(w, dtype=complex)
-    out = np.empty(arr.shape, dtype=complex)
-    flat_in = arr.ravel()
-    flat_out = out.ravel()
-    for i in range(flat_in.size):
-        flat_out[i] = _k1_scalar(complex(flat_in[i]), scaled)
-    return out
+    flat = arr.ravel()
+    ok = np.isfinite(flat) & (flat.real > 0.0)
+    if not ok.all():
+        raise DomainError("bessel_k1 requires finite w with Re(w) > 0, "
+                          f"got {complex(flat[np.argmin(ok)])}")
+    out = np.empty_like(flat)
+    small = np.abs(flat) < 2.0
+    if small.any():
+        ws = flat[small]
+        out[small] = _k1_series(ws) * np.exp(ws) if scaled else _k1_series(ws)
+    if not small.all():
+        out[~small] = _k1_cf(flat[~small], scaled)
+    if arr.ndim == 0:
+        return complex(out[0])
+    return out.reshape(arr.shape)
 
 
 def bessel_k1(w):
@@ -184,9 +217,10 @@ def bessel_k1(w):
 
     Ascending series for |w| < 2, continued fraction otherwise; both are
     conjugate-symmetric, so ``bessel_k1(conj(w)) == conj(bessel_k1(w))``
-    and real arguments give real results.
+    and real arguments give real results.  Arrays are evaluated
+    elementwise; a scalar argument returns a Python complex.
     """
-    return _k1_vectorized(w, scaled=False)
+    return _k1(w, scaled=False)
 
 
 def bessel_k1e(w):
@@ -196,12 +230,12 @@ def bessel_k1e(w):
     branch tracking of Bessel ratios stays clear of underflow while the
     exponential factor is carried analytically.
     """
-    return _k1_vectorized(w, scaled=True)
+    return _k1(w, scaled=True)
 
 
 # Lanczos approximation, g = 7, 9 coefficients (double-precision classic set).
 _LANCZOS_G = 7.0
-_LANCZOS_C = np.array([
+_LANCZOS_C = (
     0.99999999999980993,
     676.5203681218851,
     -1259.1392167224028,
@@ -211,56 +245,67 @@ _LANCZOS_C = np.array([
     -0.13857109526572012,
     9.9843695780195716e-6,
     1.5056327351493116e-7,
-])
+)
 
 
-def _log_gamma_scalar(z: complex) -> complex:
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
-        raise DomainError(f"log_gamma pole at z={z}")
-    if z.real < 0.5:
-        # Reflection.  exp(result) equals Gamma(z) everywhere; on the real
-        # axis and for Re(z) >= 0.5 the principal branch is returned.
-        return (math.log(math.pi) - _log_sin_pi(z)) - _log_gamma_scalar(1.0 - z)
+def _log_gamma_lanczos(z: np.ndarray) -> np.ndarray:
+    # valid for Re(z) >= 0.5
     zz = z - 1.0
     x = _LANCZOS_C[0]
     for i in range(1, 9):
-        x += _LANCZOS_C[i] / (zz + i)
+        x = x + _LANCZOS_C[i] / (zz + i)
     t = zz + _LANCZOS_G + 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (zz + 0.5) * cmath.log(t) - t + cmath.log(x)
+    return 0.5 * math.log(2.0 * math.pi) + (zz + 0.5) * np.log(t) - t + np.log(x)
 
 
-def _log_sin_pi(z: complex) -> complex:
+def _log_sin_pi(z: np.ndarray) -> np.ndarray:
     # log(sin(pi z)) written to avoid overflow for large |Im z|.
     piz = math.pi * z
-    if abs(z.imag) < 10.0:
-        return cmath.log(cmath.sin(piz))
-    if z.imag > 0:
+    out = np.empty_like(z)
+    near = np.abs(z.imag) < 10.0
+    up = ~near & (z.imag > 0)
+    down = ~near & ~up
+    if near.any():
+        out[near] = np.log(np.sin(piz[near]))
+    if up.any():
         # sin(pi z) = (e^{i pi z} - e^{-i pi z}) / 2i; the second term dominates
-        return -1j * piz + cmath.log((1.0 - cmath.exp(2j * piz)) / (2j))
-    return 1j * piz + cmath.log(-(1.0 - cmath.exp(-2j * piz)) / (2j))
+        p = piz[up]
+        out[up] = -1j * p + np.log((np.exp(2j * p) - 1.0) / (2j))
+    if down.any():
+        # ... and here the first
+        p = piz[down]
+        out[down] = 1j * p + np.log((1.0 - np.exp(-2j * p)) / (2j))
+    return out
 
 
 def log_gamma(z):
     """Principal-branch log-gamma; ``exp(log_gamma(z))`` equals Gamma(z).
 
-    Poles at the nonpositive integers raise :class:`DomainError`.
+    Poles at the nonpositive integers raise :class:`DomainError`.  Arrays
+    are evaluated elementwise; a scalar argument returns a Python complex.
     """
-    if np.ndim(z) == 0:
-        return _log_gamma_scalar(complex(z))
     arr = np.asarray(z, dtype=complex)
-    out = np.empty(arr.shape, dtype=complex)
-    flat_in = arr.ravel()
-    flat_out = out.ravel()
-    for i in range(flat_in.size):
-        flat_out[i] = _log_gamma_scalar(complex(flat_in[i]))
-    return out
+    flat = arr.ravel()
+    pole = (flat.imag == 0.0) & (flat.real <= 0.0) & (flat.real == np.floor(flat.real))
+    if pole.any():
+        raise DomainError(f"log_gamma pole at z={complex(flat[np.argmax(pole)])}")
+    refl = flat.real < 0.5
+    if refl.any():
+        # Reflection.  exp(result) equals Gamma(z) everywhere; on the real
+        # axis and for Re(z) >= 0.5 the principal branch is returned.
+        zr = flat[refl]
+        out = _log_gamma_lanczos(np.where(refl, 1.0 - flat, flat))
+        out[refl] = (math.log(math.pi) - _log_sin_pi(zr)) - out[refl]
+    else:
+        out = _log_gamma_lanczos(flat)
+    if arr.ndim == 0:
+        return complex(out[0])
+    return out.reshape(arr.shape)
 
 
 def beta(a, b):
     """Euler beta function ``exp(log_gamma(a) + log_gamma(b) - log_gamma(a+b))``."""
-    a = np.asarray(a, dtype=complex) if np.ndim(a) else complex(a)
-    b = np.asarray(b, dtype=complex) if np.ndim(b) else complex(b)
-    lg = log_gamma(a) + log_gamma(b) - log_gamma(np.add(a, b) if np.ndim(a) or np.ndim(b) else a + b)
+    lg = log_gamma(a) + log_gamma(b) - log_gamma(np.add(a, b))
     return np.exp(lg) if np.ndim(lg) else cmath.exp(lg)
 
 

@@ -280,9 +280,14 @@ def power_call_fractional(strike: float, power: float,
     if not R > a:
         raise ValueError(f"fractional power abscissa must be > {a}, got {R}")
     K = float(strike)
+    a1 = a + 1.0
+    lg_a1 = numerics.log_gamma(a1)
 
     def density(z):
-        return K ** (a - z) * numerics.beta(a + 1.0, z - a) / _TWO_PI
+        # K^(a-z) B(a + 1, z - a) / 2 pi, with log_gamma(a + 1) taken once
+        b = z - a
+        lg = lg_a1 + numerics.log_gamma(b) - numerics.log_gamma(a1 + b)
+        return K ** (a - z) * np.exp(lg) / _TWO_PI
 
     line = Line(R, density, decay_power=a + 1.0, strike_scale=K)
     return TransformMeasure((line,), R, R,

@@ -190,6 +190,27 @@ def test_hyperbolic_scalar_agrees_near_axis():
     assert cumulant(HYP, z) == pytest.approx(arr[1], rel=1e-13)
 
 
+def test_hyperbolic_ladder_extension_matches_cold_build():
+    # a contour that needs more height grows the cached ladder from its
+    # top rung; the values must be those of a ladder built in one go
+    R = 1.2
+    v = np.linspace(-300.0, 300.0, 6001)
+    mdl._HYP_LADDER_CACHE.clear()
+    cold = cumulant(HYP, R + 1j * v)
+    (cold_ladder,) = mdl._HYP_LADDER_CACHE.values()
+    mdl._HYP_LADDER_CACHE.clear()
+    cumulant(HYP, R + 1j * np.linspace(-20.0, 20.0, 401))
+    (short_ladder,) = mdl._HYP_LADDER_CACHE.values()
+    warm = cumulant(HYP, R + 1j * v)
+    (long_ladder,) = mdl._HYP_LADDER_CACHE.values()
+    assert short_ladder.size < long_ladder.size == cold_ladder.size
+    assert np.array_equal(long_ladder[:short_ladder.size], short_ladder)
+    assert np.allclose(long_ladder, cold_ladder, rtol=0.0, atol=1e-12)
+    assert np.all(np.abs(warm - cold) <= 1e-13 * np.abs(cold))
+    sheets = np.round((warm.imag - cold.imag) / (2.0 * math.pi))
+    assert np.all(sheets == 0)
+
+
 def test_hyperbolic_winding_actually_happens():
     # the naive principal log of the full ratio must disagree with the
     # branch-continuous value somewhere (by whole turns), otherwise this

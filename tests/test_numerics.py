@@ -110,6 +110,46 @@ def test_k1_conjugate_symmetry(re, im):
     assert bessel_k1(np.conj(w)) == np.conj(bessel_k1(w))
 
 
+# a 2-D array mixing the series (|w| < 2), the boundary and the continued
+# fraction (|w| > 2), as contours pass them
+_W_MIXED = np.array([
+    [0.3 + 0.2j, 1.1 - 1.4j, 2.0 + 0.0j, 1.2 + 1.6j],
+    [1.5 + 9.0j, 4.5 - 3.0j, 12.0 + 14.0j, 0.6 - 1.2j],
+    [7.0 + 0.0j, 0.9 + 0.0j, 2.5 - 0.5j, 3.0 - 14.5j],
+])
+
+
+def test_k1_array_oracle():
+    got = bessel_k1(_W_MIXED)
+    assert got.shape == _W_MIXED.shape
+    assert bessel_k1(np.empty((0, 3))).shape == (0, 3)
+    for w, g in zip(_W_MIXED.ravel(), got.ravel()):
+        want = k1_integral_oracle(w)
+        assert abs(g - want) <= 1e-10 * abs(want), f"w={w}"
+
+
+def test_k1e_array_is_scaled_k1():
+    got = numerics.bessel_k1e(_W_MIXED)
+    want = np.exp(_W_MIXED) * bessel_k1(_W_MIXED)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
+def test_k1_array_conjugate_symmetric_and_real():
+    assert np.array_equal(bessel_k1(np.conj(_W_MIXED)),
+                          np.conj(bessel_k1(_W_MIXED)))
+    x = np.array([0.3, 0.9, 2.0, 7.0, 30.0])
+    assert np.all(bessel_k1(x).imag == 0.0)
+    assert np.all(numerics.bessel_k1e(x).imag == 0.0)
+
+
+@pytest.mark.parametrize("bad", [-1.0 + 2j, 0.0 + 3j, -0.5 + 0j])
+def test_k1_array_domain_error(bad):
+    w = _W_MIXED.copy()
+    w[1, 2] = bad
+    with pytest.raises(DomainError):
+        bessel_k1(w)
+
+
 # ---------------------------------------------------------------------------
 # log_gamma / beta
 # ---------------------------------------------------------------------------
@@ -145,6 +185,35 @@ def test_log_gamma_poles():
             log_gamma(z)
 
 
+def test_log_gamma_array_oracle_across_reflection():
+    # Re z on both sides of 0.5 and |Im z| on both sides of 10, where the
+    # reflection switches between its two forms of log(sin(pi z)).  Off
+    # the real axis left of 0.5 only exp(log_gamma) is fixed, so the
+    # imaginary part is compared modulo 2 pi.
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    z = np.array([[-3.3 + 15.0j, -0.7 - 12.5j, 0.2 + 9.5j, -5.5 - 3.0j],
+                  [-2.5 + 0.5j, 0.3 - 0.2j, 4.0 + 11.0j, 7.5 - 25.0j],
+                  [-1.5 + 0.0j, 0.45 + 10.5j, 0.5 + 0.0j, 2.2 - 9.9j]])
+    got = log_gamma(z)
+    assert got.shape == z.shape
+    for zk, g in zip(z.ravel(), got.ravel()):
+        want = complex(mp.loggamma(complex(zk)))
+        turns = (g.imag - want.imag) / (2.0 * math.pi)
+        assert abs(g.real - want.real) <= 1e-10 * (1 + abs(want)), f"z={zk}"
+        assert abs(turns - round(turns)) * 2.0 * math.pi <= 1e-10 * (1 + abs(want)), \
+            f"z={zk}"
+        if zk.real >= 0.5:
+            assert round(turns) == 0, f"z={zk}"
+
+
+def test_log_gamma_array_poles():
+    for pole in [0.0, -1.0, -5.0]:
+        z = np.array([[1.5 + 2j, -0.5 + 0j], [3.0 + 0j, pole]])
+        with pytest.raises(DomainError):
+            log_gamma(z)
+
+
 def test_beta_values():
     assert beta(1.0, 1.0) == pytest.approx(1.0, rel=1e-13)
     assert beta(2.0, 3.0) == pytest.approx(1.0 / 12.0, rel=1e-13)
@@ -157,6 +226,16 @@ def test_beta_integral_oracle_grid():
     for a, b in cases:
         want = beta_integral_oracle(a, b)
         assert abs(beta(a, b) - want) <= 1e-10 * abs(want)
+
+
+def test_beta_array_second_argument():
+    a = 2.5
+    b = np.array([1.3 - 0.7j, 2.5 + 0j, 0.8 + 0.4j, 2.0 + 1.5j])
+    got = beta(a, b)
+    assert got.shape == b.shape
+    for bk, g in zip(b, got):
+        want = beta_integral_oracle(a, bk)
+        assert abs(g - want) <= 1e-10 * abs(want), f"b={bk}"
 
 
 # ---------------------------------------------------------------------------

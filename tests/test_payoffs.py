@@ -54,9 +54,12 @@ def test_power_call_examples():
 
 
 def test_power_call_fractional_examples():
-    mf = lh.power_call_fractional(1.0, 1.5)
-    assert reconstruct(mf, 2.0) == pytest.approx(1.0, abs=1e-8)
-    assert reconstruct(mf, 4.0) == pytest.approx(3.0 ** 1.5, rel=1e-8)
+    for abscissa in (None, 1.8):
+        # an abscissa below a + 1/2 puts z - a in log_gamma's reflection
+        # branch, also at |Im z| >= 10
+        mf = lh.power_call_fractional(1.0, 1.5, abscissa)
+        assert reconstruct(mf, 2.0) == pytest.approx(1.0, abs=1e-8)
+        assert reconstruct(mf, 4.0) == pytest.approx(3.0 ** 1.5, rel=1e-8)
     # integer power 2 through the Beta-function route agrees with the
     # rational-density route
     m2a = lh.power_call_fractional(1.0, 2.0)
