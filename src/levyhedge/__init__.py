@@ -26,7 +26,6 @@ from .models import (
 )
 from .numerics import (
     BranchJumpError,
-    ContourMode,
     ContourSpec,
     DomainError,
     QuadratureResult,

@@ -37,14 +37,14 @@ as the grid refines.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import models as mdl
 from . import payoffs as po
-from .hedge_discrete import NegativeCapitalWarning, NegativeVarianceError
+from .hedge_discrete import (_admissible_or_raise, _capital_checked,
+                             _variance_clamped)
 from .numerics import QuadratureResult
 
 __all__ = [
@@ -98,16 +98,27 @@ class ContinuousHedgeCoefficients:
     k1: float
     k2: float
     lambda_feedback: float
+    den: float = field(init=False, repr=False)   # kappa(2) - 2 kappa(1)
+
+    def __post_init__(self):
+        object.__setattr__(self, "den", (self.k2 - self.k1) - self.k1)
 
     def kappa(self, z):
         return mdl.cumulant(self.model, z)
 
+    def cumulant_terms(self, z):
+        """``(kappa(z), kappa(z+1) - kappa(z) - kappa(1), gamma(z), eta(z))``
+        from one evaluation of kappa at z and one at z + 1."""
+        kz = self.kappa(z)
+        gt = self.kappa(np.asarray(z) + 1.0) - kz - self.k1
+        gam = gt / self.den
+        return kz, gt, gam, kz - self.k1 * gam
+
     def gamma(self, z):
-        den = (self.k2 - self.k1) - self.k1
-        return (self.kappa(np.asarray(z) + 1.0) - self.kappa(z) - self.k1) / den
+        return self.cumulant_terms(z)[2]
 
     def eta(self, z):
-        return self.kappa(z) - self.k1 * self.gamma(z)
+        return self.cumulant_terms(z)[3]
 
 
 def coefficients_ct(model: mdl.LevyModelSpec, T: float) -> ContinuousHedgeCoefficients:
@@ -125,14 +136,6 @@ def coefficients_ct(model: mdl.LevyModelSpec, T: float) -> ContinuousHedgeCoeffi
             "degenerate model: kappa(2) - 2 kappa(1) vanishes, no hedge exists")
     lam = k1 / den
     return ContinuousHedgeCoefficients(model, float(T), k1, k2, lam)
-
-
-def _admissible_or_raise(coeffs, payoff: po.TransformMeasure) -> None:
-    strip = mdl.strip_of_finiteness(coeffs.model)
-    if not po.abscissa_admissible(payoff, strip):
-        raise ValueError(
-            "payoff abscissas inadmissible for this model: need "
-            f"2R inside ({strip.lo:g}, {strip.hi:g})")
 
 
 def price_process_ct(coeffs: ContinuousHedgeCoefficients,
@@ -155,11 +158,7 @@ def initial_capital_ct(coeffs: ContinuousHedgeCoefficients,
                        payoff: po.TransformMeasure, S0: float, *,
                        tol: float = 1e-8) -> float:
     """V0 = H_0; warns when negative (not an arbitrage-free price)."""
-    v0 = price_process_ct(coeffs, payoff, S0, 0.0, tol=tol)
-    if v0 < 0.0:
-        warnings.warn(f"variance-optimal initial capital is negative ({v0:.6g})",
-                      NegativeCapitalWarning, stacklevel=2)
-    return v0
+    return _capital_checked(price_process_ct(coeffs, payoff, S0, 0.0, tol=tol))
 
 
 def xi_ct(coeffs: ContinuousHedgeCoefficients, payoff: po.TransformMeasure,
@@ -171,7 +170,8 @@ def xi_ct(coeffs: ContinuousHedgeCoefficients, payoff: po.TransformMeasure,
     tau = coeffs.T - t
 
     def weight(z):
-        return coeffs.gamma(z) * np.exp(coeffs.eta(z) * tau)
+        _, _, gam, eta = coeffs.cumulant_terms(z)
+        return gam * np.exp(eta * tau)
 
     res = po.integrate_measure(payoff, S_tminus, weight,
                                tol_abs=tol * (1.0 + S_tminus))
@@ -192,8 +192,7 @@ def mean_variance_tradeoff(coeffs: ContinuousHedgeCoefficients, t: float) -> flo
     Its determinism is what makes the closed forms of this package
     possible; exposed as a diagnostic.
     """
-    den = (coeffs.k2 - coeffs.k1) - coeffs.k1
-    return coeffs.k1 ** 2 / den * t
+    return coeffs.k1 ** 2 / coeffs.den * t
 
 
 def error_variance_ct(coeffs: ContinuousHedgeCoefficients,
@@ -208,8 +207,7 @@ def error_variance_ct(coeffs: ContinuousHedgeCoefficients,
     """
     _admissible_or_raise(coeffs, payoff)
     model, T = coeffs.model, coeffs.T
-    k1 = coeffs.k1
-    den = (coeffs.k2 - k1) - k1
+    k1, den = coeffs.k1, coeffs.den
     rate = k1 * k1 / den
     ln_s0 = math.log(S0)
 
@@ -219,10 +217,8 @@ def error_variance_ct(coeffs: ContinuousHedgeCoefficients,
     complete = True
     for y_p, z_p in [(0.4 + 3.1j, 1.1 - 2.0j), (1.2 - 11.0j, 0.3 + 8.5j),
                      (0.9 + 27.0j, 1.6 - 19.0j)]:
-        ky_p = mdl.cumulant(model, y_p)
-        kz_p = mdl.cumulant(model, z_p)
-        gty_p = mdl.cumulant(model, y_p + 1.0) - ky_p - k1
-        gtz_p = mdl.cumulant(model, z_p + 1.0) - kz_p - k1
+        ky_p, gty_p, _, _ = coeffs.cumulant_terms(y_p)
+        kz_p, gtz_p, _, _ = coeffs.cumulant_terms(z_p)
         beta_p = mdl.cumulant(model, y_p + z_p) - ky_p - kz_p \
             - gty_p * gtz_p / den
         scale_p = abs(ky_p) + abs(kz_p) + abs(gty_p * gtz_p / den)
@@ -234,9 +230,7 @@ def error_variance_ct(coeffs: ContinuousHedgeCoefficients,
         return (0.0, zero) if return_result else 0.0
 
     def axis_data(zn):
-        k = mdl.cumulant(model, zn)
-        gt = mdl.cumulant(model, zn + 1.0) - k - k1
-        eta = k - k1 * (gt / den)
+        k, gt, _, eta = coeffs.cumulant_terms(zn)
         return k, gt, eta
 
     def pair(ydat, zdat, rows, cols, ysum):
@@ -262,14 +256,8 @@ def error_variance_ct(coeffs: ContinuousHedgeCoefficients,
         return beta * quot
 
     kernel = po.PairKernel(axis_data, axis_data, pair)
-    res = po.double_integrate_measure(payoff, kernel, s0=S0,
-                                      tol_abs=tol * (1.0 + S0))
-    value = float(res.value.real)
-    scale = max(1.0, S0) ** 2
-    if value < -1e-8 * scale:
-        raise NegativeVarianceError(
-            f"error variance {value:.3e} below -1e-8 * S0^2: quadrature failure")
-    value = max(value, 0.0)
+    res = po.double_integrate_measure(payoff, kernel, tol_abs=tol * (1.0 + S0))
+    value = _variance_clamped(float(res.value.real), S0)
     if return_result:
         return value, res
     return value
@@ -286,7 +274,7 @@ class GainsPathResult:
     ``gains`` comes from the explicit stochastic-exponential formula;
     ``gains_recursive`` from the feedback recursion on the same grid.  The
     two are algebraically identical step by step and are both returned so
-    callers can cross-validate the implementations against each other.
+    callers can check the implementations against each other.
     """
 
     times: np.ndarray
@@ -294,75 +282,6 @@ class GainsPathResult:
     hedge_ratios: np.ndarray
     price_process: np.ndarray
     gains_recursive: np.ndarray
-
-
-def _path_transform_tables(coeffs, payoff, times, spots, tol_abs):
-    """xi_t(S_t) and H_t(S_t) along a path, via one shared node plan.
-
-    The panel plan per line is the payoff-decay plan capped at the height
-    where the weakest damping factor exp(eta (T - t_max)) has crushed the
-    integrand; per-time coefficient vectors then reuse one exp matrix.
-    """
-    T = coeffs.T
-    taus = T - np.asarray(times)
-    tau_min = max(float(np.min(taus)), 1e-12)
-    ln_s = np.log(spots)
-    xi_vals = np.zeros(len(spots))
-    h_vals = np.zeros(len(spots))
-    s_hi = float(np.max(spots))
-
-    for line in payoff.lines():
-        R = line.abscissa
-
-        def damp(v):
-            z = np.asarray(R + 1j * np.atleast_1d(v))
-            eta = coeffs.eta(z)
-            amp = np.abs(line.density(z)) * s_hi ** R
-            return float(np.max(amp * np.exp(np.real(eta) * tau_min)))
-
-        cap = 64.0
-        while cap < 1e9 and damp(cap) * cap > 1e-3 * tol_abs:
-            cap *= 2.0
-        spots_arr = np.asarray(spots)
-        edges, c_per_s, correct = po._planned_edges(line, spots_arr, tol_abs, cap)
-        cut = edges[np.minimum(np.searchsorted(edges, np.minimum(c_per_s, cap)),
-                               edges.size - 1)]
-        v, w = po.numerics._nodes_from_edges(edges)
-        z = R + 1j * v
-        dens = w * line.density(z)
-        gam = coeffs.gamma(z)
-        eta = coeffs.eta(z)
-        mask = v[:, None] <= cut[None, :]
-        block = 512
-        for lo in range(0, len(spots), block):
-            hi = min(lo + block, len(spots))
-            emat = np.exp(np.multiply.outer(z, ln_s[lo:hi])
-                          + np.multiply.outer(eta, taus[lo:hi]))
-            emat *= mask[:, lo:hi]
-            h_vals[lo:hi] += 2.0 * np.real(dens @ emat)
-            xi_vals[lo:hi] += 2.0 * np.real((dens * gam) @ emat)
-        do_corr = correct & (cut * np.abs(np.log(spots_arr / line.strike_scale))
-                             >= 0.9 * po._CX_MIN)
-        if np.any(do_corr):
-            taus_sel = taus[do_corr]
-
-            def w_h(z3, taus_sel=taus_sel):
-                return np.exp(coeffs.eta(z3) * taus_sel[None, :])
-
-            def w_xi(z3, taus_sel=taus_sel):
-                return coeffs.gamma(z3) * np.exp(coeffs.eta(z3) * taus_sel[None, :])
-
-            tail_h, _ = po.tail_completion(line, spots_arr[do_corr],
-                                           cut[do_corr], w_h)
-            tail_x, _ = po.tail_completion(line, spots_arr[do_corr],
-                                           cut[do_corr], w_xi)
-            h_vals[do_corr] += tail_h
-            xi_vals[do_corr] += tail_x
-    for pm in payoff.point_masses():
-        e = np.exp(pm.location * ln_s + coeffs.eta(np.asarray(pm.location)) * taus)
-        h_vals += np.real(pm.weight * e)
-        xi_vals += np.real(pm.weight * coeffs.gamma(np.asarray(pm.location)) * e)
-    return xi_vals / spots, h_vals
 
 
 def gains_explicit(coeffs: ContinuousHedgeCoefficients,
@@ -382,10 +301,18 @@ def gains_explicit(coeffs: ContinuousHedgeCoefficients,
     lam = coeffs.lambda_feedback
     v0 = initial_capital_ct(coeffs, payoff, S0, tol=tol)
 
-    # xi and H are needed at the left endpoint of every increment
+    # xi and H are needed at the left endpoint of every increment, each
+    # spot with its own time to expiry: one table pass with the per-spot
+    # factor exp(eta (T - t))
     tol_abs = tol * (1.0 + S0)
-    xi_left, h_left = _path_transform_tables(
-        coeffs, payoff, times[:-1], spots[:-1], tol_abs)
+
+    def terms(z):
+        _, _, gam, eta = coeffs.cumulant_terms(z)
+        return np.stack((gam, np.ones_like(gam))), eta
+
+    (xi_left, h_left), _ = po._tabulate(payoff, spots[:-1], terms, tol_abs,
+                                        coeffs.T - times[:-1])
+    xi_left = xi_left / spots[:-1]
 
     ds = np.diff(spots)
     dxt = ds / spots[:-1]                     # increments of X~ = int dS/S_

@@ -133,15 +133,19 @@ class DiscreteHedgeCoefficients:
     def m(self, z):
         return mdl.mgf_step(self.model, z, self.dt)
 
+    def moment_terms(self, z):
+        """``(m(z), m(z+1), g(z), h(z))`` from one evaluation of m at z and
+        one at z + 1."""
+        mz = self.m(z)
+        mz1 = self.m(np.asarray(z) + 1.0)
+        g = (mz1 - self.m1 * mz) / (self.m2 - self.m1 ** 2)
+        return mz, mz1, g, mz - (self.m1 - 1.0) * g
+
     def g(self, z):
-        return (self.m(np.asarray(z) + 1.0) - self.m1 * self.m(z)) / (self.m2 - self.m1 ** 2)
+        return self.moment_terms(z)[2]
 
     def h(self, z):
-        return self.m(z) - (self.m1 - 1.0) * self.g(z)
-
-    def h_pow(self, z, k: int):
-        """h(z)^k without repeated quadrature-node recomputation."""
-        return self.h(z) ** k
+        return self.moment_terms(z)[3]
 
 
 def coefficients(model: mdl.LevyModelSpec, T: float, N: int) -> DiscreteHedgeCoefficients:
@@ -162,12 +166,32 @@ def coefficients(model: mdl.LevyModelSpec, T: float, N: int) -> DiscreteHedgeCoe
     return DiscreteHedgeCoefficients(model, float(T), int(N), dt, m1, m2, lam)
 
 
+# -- shared with the continuous-time engine ---------------------------------
+
 def _admissible_or_raise(coeffs, payoff: po.TransformMeasure) -> None:
     strip = mdl.strip_of_finiteness(coeffs.model)
     if not po.abscissa_admissible(payoff, strip):
         raise ValueError(
             "payoff abscissas inadmissible for this model: need "
             f"2R inside ({strip.lo:g}, {strip.hi:g})")
+
+
+def _capital_checked(v0: float) -> float:
+    """V0, with a :class:`NegativeCapitalWarning` (at the quote's caller)
+    when it is negative."""
+    if v0 < 0.0:
+        warnings.warn(f"variance-optimal initial capital is negative ({v0:.6g})",
+                      NegativeCapitalWarning, stacklevel=3)
+    return v0
+
+
+def _variance_clamped(value: float, S0: float) -> float:
+    """A quadrature variance clamped to 0 down to -1e-8 * S0^2; materially
+    below that it is a quadrature failure."""
+    if value < -1e-8 * max(1.0, S0) ** 2:
+        raise NegativeVarianceError(
+            f"error variance {value:.3e} below -1e-8 * S0^2: quadrature failure")
+    return max(value, 0.0)
 
 
 def price_process(coeffs: DiscreteHedgeCoefficients, payoff: po.TransformMeasure,
@@ -179,7 +203,7 @@ def price_process(coeffs: DiscreteHedgeCoefficients, payoff: po.TransformMeasure
     k = coeffs.N - n
 
     def weight(z):
-        return coeffs.h_pow(z, k) if k else np.ones_like(np.asarray(z))
+        return coeffs.h(z) ** k if k else np.ones_like(np.asarray(z))
 
     res = po.integrate_measure(payoff, S_n, weight,
                                tol_abs=tol * (1.0 + S_n))
@@ -193,11 +217,7 @@ def initial_capital(coeffs: DiscreteHedgeCoefficients, payoff: po.TransformMeasu
     Emits :class:`NegativeCapitalWarning` when negative: legal, but not a
     price.
     """
-    v0 = price_process(coeffs, payoff, S0, 0, tol=tol)
-    if v0 < 0.0:
-        warnings.warn(f"variance-optimal initial capital is negative ({v0:.6g})",
-                      NegativeCapitalWarning, stacklevel=2)
-    return v0
+    return _capital_checked(price_process(coeffs, payoff, S0, 0, tol=tol))
 
 
 def xi(coeffs: DiscreteHedgeCoefficients, payoff: po.TransformMeasure,
@@ -209,7 +229,8 @@ def xi(coeffs: DiscreteHedgeCoefficients, payoff: po.TransformMeasure,
     k = coeffs.N - n
 
     def weight(z):
-        return coeffs.g(z) * coeffs.h_pow(z, k)
+        _, _, g, h = coeffs.moment_terms(z)
+        return g * h ** k
 
     res = po.integrate_measure(payoff, S_prev, weight,
                                tol_abs=tol * (1.0 + S_prev))
@@ -299,10 +320,7 @@ def error_variance(coeffs: DiscreteHedgeCoefficients, payoff: po.TransformMeasur
     ln_s0 = math.log(S0)
 
     def axis_data(zn):
-        mzn = np.exp(mdl.cumulant(model, zn) * dt)
-        mzn1 = np.exp(mdl.cumulant(model, zn + 1.0) * dt)
-        g = (mzn1 - m1 * mzn) / var1
-        h = mzn - (m1 - 1.0) * g
+        mzn, mzn1, _, h = coeffs.moment_terms(zn)
         return mzn, mzn1, h
 
     def pair(ydat, zdat, rows, cols, ysum):
@@ -315,14 +333,8 @@ def error_variance(coeffs: DiscreteHedgeCoefficients, payoff: po.TransformMeasur
         return np.exp(ysum * ln_s0) * b * _geometric_sum(a, myz, N, log_m)
 
     kernel = po.PairKernel(axis_data, axis_data, pair)
-    scale = max(1.0, S0) ** 2
-    res = po.double_integrate_measure(payoff, kernel, s0=S0,
-                                      tol_abs=tol * (1.0 + S0))
-    value = float(res.value.real)
-    if value < -1e-8 * scale:
-        raise NegativeVarianceError(
-            f"error variance {value:.3e} below -1e-8 * S0^2: quadrature failure")
-    value = max(value, 0.0)
+    res = po.double_integrate_measure(payoff, kernel, tol_abs=tol * (1.0 + S0))
+    value = _variance_clamped(float(res.value.real), S0)
     if return_result:
         return value, res
     return value

@@ -149,7 +149,6 @@ class MomentStrip:
 
     lo: float
     hi: float
-    open_ends: tuple = (True, True)
 
     def contains(self, p: float, margin: float = 0.0) -> bool:
         return self.lo + margin < p < self.hi - margin
@@ -364,6 +363,36 @@ def no_arbitrage_check(model: LevyModelSpec, dt: float) -> bool:
 # Sampling
 # ---------------------------------------------------------------------------
 
+def _require_sampler(model: LevyModelSpec) -> None:
+    if not isinstance(model, (Gaussian, MertonJD, NIG, VG)):
+        raise UnsupportedModelError(
+            f"{type(model).__name__} has no increment sampler")
+
+
+def _increments(model: LevyModelSpec, dt: float, rng: np.random.Generator,
+                size, normal) -> np.ndarray:
+    """The sampling formula of each model; ``normal()`` supplies the
+    standard normals that drive the increments' conditionally Gaussian
+    part, and may add a leading axis that the result then carries."""
+    if not dt > 0.0:
+        raise ValueError(f"dt must be > 0, got {dt}")
+    _require_sampler(model)
+    if isinstance(model, Gaussian):
+        loc = (model.mu - 0.5 * model.sigma ** 2) * dt
+        return loc + model.sigma * math.sqrt(dt) * normal()
+    if isinstance(model, MertonJD):
+        x = model.mu * dt + model.sigma * math.sqrt(dt) * normal()
+        n = rng.poisson(model.jump_intensity * dt, size=size)
+        # sum of n iid N(jump_mean, jump_sd^2) given n
+        return x + n * model.jump_mean + np.sqrt(n) * model.jump_sd * rng.standard_normal(size=size)
+    if isinstance(model, NIG):
+        gam = math.sqrt(model.alpha ** 2 - model.beta ** 2)
+        y = rng.wald(model.delta * dt / gam, (model.delta * dt) ** 2, size=size)
+    else:
+        y = rng.gamma(model.delta * dt, 1.0 / model.alpha, size=size)
+    return model.mu * dt + model.beta * y + np.sqrt(y) * normal()
+
+
 def sample_increments(model: LevyModelSpec, dt: float, rng: np.random.Generator,
                       size) -> np.ndarray:
     """Draws of X_{t+dt} - X_t, vectorized.
@@ -374,28 +403,24 @@ def sample_increments(model: LevyModelSpec, dt: float, rng: np.random.Generator,
     conditionally normal.  The hyperbolic model has no closed subordinator
     representation and is rejected.
     """
-    if not dt > 0.0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    if isinstance(model, Gaussian):
-        loc = (model.mu - 0.5 * model.sigma ** 2) * dt
-        return rng.normal(loc, model.sigma * math.sqrt(dt), size=size)
-    if isinstance(model, MertonJD):
-        x = rng.normal(model.mu * dt, model.sigma * math.sqrt(dt), size=size)
-        n = rng.poisson(model.jump_intensity * dt, size=size)
-        # sum of n iid N(jump_mean, jump_sd^2) given n
-        x = x + n * model.jump_mean + np.sqrt(n) * model.jump_sd * rng.standard_normal(size=size)
-        return x
-    if isinstance(model, NIG):
-        gam = math.sqrt(model.alpha ** 2 - model.beta ** 2)
-        mean = model.delta * dt / gam
-        shape = (model.delta * dt) ** 2
-        y = rng.wald(mean, shape, size=size)
-        return model.mu * dt + model.beta * y + np.sqrt(y) * rng.standard_normal(size=size)
-    if isinstance(model, VG):
-        y = rng.gamma(model.delta * dt, 1.0 / model.alpha, size=size)
-        return model.mu * dt + model.beta * y + np.sqrt(y) * rng.standard_normal(size=size)
-    raise UnsupportedModelError(
-        f"{type(model).__name__} has no increment sampler")
+    return _increments(model, dt, rng, size,
+                       lambda: rng.standard_normal(size=size))
+
+
+def _antithetic_increments(model: LevyModelSpec, dt: float,
+                           rng: np.random.Generator, size) -> np.ndarray:
+    """``size = (rows, steps)`` draws in antithetic pairs: the first half of
+    the rows, then their mirrors, with every driving normal negated and
+    the jump counts, jump sizes and subordinators shared."""
+    n_rows = size[0]
+    half = ((n_rows + 1) // 2,) + tuple(size[1:])
+
+    def mirrored():
+        z = rng.standard_normal(half)
+        return np.stack((z, -z))
+
+    x = _increments(model, dt, rng, half, mirrored)
+    return x.reshape((-1,) + half[1:])[:n_rows]
 
 
 def sample_increment(model: LevyModelSpec, dt: float, rng: np.random.Generator) -> float:

@@ -8,7 +8,7 @@ integrals) is built on the primitives in this module:
 * ``continuous_log`` -- branch-continuous logarithm along a discretized path,
 * ``contour_integrate`` / ``double_contour_integrate`` -- adaptive
   Gauss-Kronrod quadrature along vertical segments ``{R + iv : |v| <= c}``,
-  in absolutely-convergent or principal-value (symmetric truncation) mode.
+  always symmetrically truncated, so principal values come out right.
 
 Convention: a contour integral here always means the integral of
 ``f(R + iv)`` with respect to the *real* coordinate ``v``.  Measure
@@ -24,18 +24,14 @@ import cmath
 import heapq
 import math
 from dataclasses import dataclass
-from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "DomainError",
     "BranchJumpError",
-    "ContourMode",
     "ContourSpec",
     "QuadratureResult",
-    "PanelSet",
     "bessel_k1",
     "bessel_k1e",
     "log_gamma",
@@ -57,24 +53,19 @@ class BranchJumpError(ValueError):
     """Consecutive path samples too coarse to track a continuous branch."""
 
 
-class ContourMode(str, Enum):
-    ABSOLUTELY_CONVERGENT = "absolutely_convergent"
-    PRINCIPAL_VALUE = "principal_value"
-
-
 @dataclass(frozen=True)
 class ContourSpec:
     """Vertical integration segment ``{abscissa + iv : |v| <= truncation}``.
 
-    ``node_budget`` caps the number of integrand evaluations; in
-    principal-value mode the quadrature grid is symmetric about ``v = 0``
-    by construction (opposite-sign nodes are always evaluated in pairs).
+    ``node_budget`` caps the number of integrand evaluations.  The
+    quadrature grid is symmetric about ``v = 0`` by construction
+    (opposite-sign nodes are always evaluated in pairs), so a principal
+    value needs no special mode.
     """
 
     abscissa: float
     truncation: float
     node_budget: int = 200_000
-    mode: ContourMode = ContourMode.ABSOLUTELY_CONVERGENT
 
     def __post_init__(self):
         if not self.truncation > 0.0:
@@ -386,31 +377,6 @@ def _eval_panels(fv, bounds_a, bounds_b):
     return [_Panel(a[i], b[i], ik[i], float(err[i])) for i in range(a.size)]
 
 
-class PanelSet:
-    """Final panel layout of an adaptive run, reusable as fixed nodes/weights.
-
-    ``nodes_weights()`` returns ``(v, w)`` with
-    ``integral ~= sum(w * f(v))`` over the folded coordinate (see the
-    wrapper semantics of the owning integration call).
-    """
-
-    def __init__(self, panels: Sequence[_Panel]):
-        self.panels = sorted(panels, key=lambda p: p.a)
-
-    def boundaries(self) -> np.ndarray:
-        bs = [p.a for p in self.panels] + [self.panels[-1].b]
-        return np.asarray(bs)
-
-    def nodes_weights(self):
-        a = np.array([p.a for p in self.panels])
-        b = np.array([p.b for p in self.panels])
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        v = (mid[:, None] + half[:, None] * _K15_NODES[None, :]).ravel()
-        w = (half[:, None] * _K15_WEIGHTS[None, :]).ravel()
-        return v, w
-
-
 def _adapt(fv, a: float, b: float, tol_abs: float, max_evals: int,
            initial_splits: int = 8):
     """Adaptively integrate ``fv`` over [a, b].
@@ -446,7 +412,7 @@ def _wrap_integrand(integrand, abscissa: float, conjugate_symmetric: bool):
     For any integrand, ``int_{-c}^{c} f(R+iv) dv = int_0^c (f(R+iv) +
     f(R-iv)) dv``; with declared conjugate symmetry the pair sum is
     ``2 Re f(R+iv)``, which guarantees bit-real results and halves cost.
-    In principal-value mode the pairing *is* the symmetric truncation.
+    For a principal value the pairing *is* the symmetric truncation.
     """
     R = abscissa
     if conjugate_symmetric:
@@ -465,43 +431,37 @@ def _wrap_integrand(integrand, abscissa: float, conjugate_symmetric: bool):
 
 def contour_integrate(integrand, contour: ContourSpec, *,
                       tol_abs: float = 1e-10, tol_rel: float = 1e-10,
-                      conjugate_symmetric: bool = False,
-                      return_panels: bool = False):
+                      conjugate_symmetric: bool = False) -> QuadratureResult:
     """Integrate ``integrand(R + iv)`` in v over ``[-c, c]``.
 
     ``integrand`` must be vectorized (ndarray of complex -> ndarray).
-    In principal-value mode opposite-sign nodes are evaluated jointly, so
-    the result is the symmetrically truncated integral.  If the tolerance
+    Opposite-sign nodes are evaluated jointly, so the result is the
+    symmetrically truncated integral.  If the tolerance
     cannot be met within ``contour.node_budget`` evaluations the result is
     returned with ``converged=False``.
     """
     fv = _wrap_integrand(integrand, contour.abscissa, conjugate_symmetric)
     budget = contour.node_budget
-    value, err, nevals, panels, _ = _adapt(fv, 0.0, contour.truncation,
-                                           tol_abs, budget)
+    value, err, nevals, _, _ = _adapt(fv, 0.0, contour.truncation,
+                                      tol_abs, budget)
     target = max(tol_abs, tol_rel * abs(value))
     if err > target and nevals < budget:
         # re-tighten with the relative target now that the scale is known
-        value, err, nevals2, panels, _ = _adapt(
+        value, err, nevals2, _, _ = _adapt(
             fv, 0.0, contour.truncation, target, budget - nevals)
         nevals += nevals2
     converged = err <= max(tol_abs, tol_rel * abs(value))
-    result = QuadratureResult(value, err, nevals, converged)
-    if return_panels:
-        return result, PanelSet(panels)
-    return result
+    return QuadratureResult(value, err, nevals, converged)
 
 
 def bromwich_integrate(integrand, abscissa: float, *,
                        tol_abs: float = 1e-10,
-                       mode: ContourMode = ContourMode.ABSOLUTELY_CONVERGENT,
                        node_budget: int = 400_000,
                        truncation_cap: float = 1e9,
                        c_start: float = 64.0,
                        dead_tol_factor: float = 0.5,
                        external_tail: bool = False,
-                       conjugate_symmetric: bool = True,
-                       return_panels: bool = False):
+                       conjugate_symmetric: bool = True):
     """Self-truncating vertical-line integral.
 
     Integrates outward in geometrically growing segments ``[c, 2c]`` until
@@ -510,10 +470,10 @@ def bromwich_integrate(integrand, abscissa: float, *,
     hit.  The observed segment contribution is itself the tail estimate:
     valid for damped and oscillatory-algebraic integrands alike.  With
     ``external_tail`` the caller completes the tail analytically (see the
-    payoff engine), so no segment-based tail heuristic is added.
+    payoff engine), so no segment-based tail heuristic is added.  Returns
+    ``(result, height)``, the height being where the run stopped.
     """
     fv = _wrap_integrand(integrand, abscissa, conjugate_symmetric)
-    panels: list[_Panel] = []
     value = 0.0 + 0j
     err = 0.0
     nevals = 0
@@ -522,12 +482,11 @@ def bromwich_integrate(integrand, abscissa: float, *,
     converged = True
     while True:
         seg_tol = 0.1 * tol_abs
-        v, e, ne, ps, _ = _adapt(fv, lo, hi, seg_tol, node_budget - nevals,
-                                 initial_splits=8)
+        v, e, ne, _, _ = _adapt(fv, lo, hi, seg_tol, node_budget - nevals,
+                                initial_splits=8)
         value += v
         err += e
         nevals += ne
-        panels.extend(ps)
         if abs(v) < dead_tol_factor * tol_abs:
             small_streak += 1
         else:
@@ -545,9 +504,7 @@ def bromwich_integrate(integrand, abscissa: float, *,
         lo, hi = hi, min(2.0 * hi, truncation_cap)
     result = QuadratureResult(value, err, nevals,
                               converged and err <= 5.0 * tol_abs + 1e-300)
-    if return_panels:
-        return result, PanelSet(panels)
-    return result
+    return result, hi
 
 
 # ---------------------------------------------------------------------------

@@ -26,12 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import numerics
-from .numerics import (
-    ContourMode,
-    ContourSpec,
-    QuadratureResult,
-    bromwich_integrate,
-)
+from .numerics import ContourSpec, QuadratureResult, bromwich_integrate
 from .models import MomentStrip
 
 __all__ = [
@@ -386,9 +381,10 @@ def abscissa_admissible(measure: TransformMeasure, strip: MomentStrip) -> bool:
 
 _X_FLOOR = 1e-9          # below this, treat the point as exactly at strike
 _CX_MIN = 32.0           # tail corrections need c |x| >= this to be valid
+_NO_CAP = 1e13           # truncation cap of an undamped integrand
 
 
-def _height_plan(line: Line, s_values, tol_abs: float, cap: float = 1e13):
+def _height_plan(line: Line, s_values, tol_abs: float, cap: float = _NO_CAP):
     """Per-point truncation heights and tail-correction flags.
 
     The integrand along the line behaves like an envelope of size
@@ -445,7 +441,9 @@ def tail_completion(line: Line, s_sel, cs, weight3=None, delta: float = 1.0):
     ``c |omega|`` is too small for the expansion get no correction and a
     conservative residual instead.  ``weight3`` is an optional vectorized
     map applied to the (3, n) probe matrix; it may embed per-point
-    factors.  Returns ``(correction, residual_estimate)`` per point.
+    factors, and it may return a leading row axis ``(rows, 3, n)`` to
+    complete every row at once.  Returns ``(correction,
+    residual_estimate)`` per point, with the weight's row axis if any.
     """
     s_sel = np.asarray(s_sel, dtype=float)
     cs = np.asarray(cs, dtype=float)
@@ -459,26 +457,28 @@ def tail_completion(line: Line, s_sel, cs, weight3=None, delta: float = 1.0):
     if weight3 is not None:
         f3 = f3 * weight3(z3)
     f3 = f3 * np.exp(z3 * np.log(s_sel)[None, :])
+    f0, fp, fm = (f3[..., i, :] for i in range(3))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        omega = np.angle(f3[1] / f3[2]) / (2.0 * d)
-    dead = np.abs(f3[0]) < 1e-300
+        omega = np.angle(fp / fm) / (2.0 * d)
+    dead = np.abs(f0) < 1e-300
     valid = (~dead) & (np.abs(omega) * cs >= 0.9 * _CX_MIN) \
         & (np.abs(omega) * d < 1.4)
     omega = np.where(valid, omega, 1.0)
-    phi = f3 * np.exp(-1j * v3 * omega[None, :])
-    dphi = (phi[1] - phi[2]) / (2.0 * d)
-    d2phi = (phi[1] - 2.0 * phi[0] + phi[2]) / (d * d)
+    phi = f3 * np.exp(-1j * v3 * omega[..., None, :])
+    p0, pp, pm = (phi[..., i, :] for i in range(3))
+    dphi = (pp - pm) / (2.0 * d)
+    d2phi = (pp - 2.0 * p0 + pm) / (d * d)
     tail = 2.0 * np.real(np.exp(1j * cs * omega)
-                         * (1j * phi[0] / omega - dphi / (omega * omega)))
+                         * (1j * p0 / omega - dphi / (omega * omega)))
     resid = 2.0 * np.abs(d2phi) / np.abs(omega) ** 3
     tail = np.where(valid, tail, 0.0)
     # without a usable expansion the direct envelope bound is all we have
-    resid = np.where(valid, resid, np.abs(f3[0]) * cs)
+    resid = np.where(valid, resid, np.abs(f0) * cs)
     return tail, resid
 
 
 def _line_integral(line: Line, weight, s: float, tol_abs: float,
-                   node_budget: int, cap: float = 1e13):
+                   node_budget: int):
     """integral over the line of density(z) * s^z * weight(z) dv."""
     ln_s = math.log(s)
     x = ln_s - math.log(line.strike_scale)
@@ -487,30 +487,24 @@ def _line_integral(line: Line, weight, s: float, tol_abs: float,
         w = weight(z) if weight is not None else 1.0
         return line.density(z) * np.exp(z * ln_s) * w
 
-    mode = (ContourMode.PRINCIPAL_VALUE if line.principal_value
-            else ContourMode.ABSOLUTELY_CONVERGENT)
-    heights, corr = _height_plan(line, [s], tol_abs, cap)
+    heights, corr = _height_plan(line, [s], tol_abs)
     use_corr = bool(corr[0])
     if use_corr:
         c_start = min(max(64.0, _CX_MIN / abs(x)), float(heights[0]))
     else:
         c_start = 64.0
-    res, panels = bromwich_integrate(
-        integrand, line.abscissa, tol_abs=tol_abs, mode=mode,
+    res, c_stop = bromwich_integrate(
+        integrand, line.abscissa, tol_abs=tol_abs,
         node_budget=node_budget, truncation_cap=float(heights[0]),
         c_start=c_start,
         dead_tol_factor=1e-3 if use_corr else 0.5,
-        external_tail=use_corr,
-        conjugate_symmetric=True, return_panels=True)
-    if use_corr:
-        c_stop = float(panels.boundaries()[-1])
-        if c_stop * abs(x) >= 0.9 * _CX_MIN:
-            w3 = None if weight is None else weight
-            tail, resid = tail_completion(line, [s], [c_stop], w3)
-            res = QuadratureResult(res.value + float(tail[0]),
-                                   res.error_estimate + float(resid[0]),
-                                   res.nodes_used + 6,
-                                   res.converged and resid[0] < 4.0 * tol_abs)
+        external_tail=use_corr)
+    if use_corr and c_stop * abs(x) >= 0.9 * _CX_MIN:
+        tail, resid = tail_completion(line, [s], [c_stop], weight)
+        res = QuadratureResult(res.value + float(tail[0]),
+                               res.error_estimate + float(resid[0]),
+                               res.nodes_used + 6,
+                               res.converged and resid[0] < 4.0 * tol_abs)
     return res
 
 
@@ -567,8 +561,10 @@ def evaluate_payoff(measure: TransformMeasure, s: float, *,
 # Batched evaluation on s-grids (shared panel plan)
 # ---------------------------------------------------------------------------
 
-def _planned_edges(line: Line, s_grid: np.ndarray, tol_abs: float,
-                   height_cap: float = 1e13):
+_SPOT_BLOCK = 512        # spots per exp matrix
+
+
+def _planned_edges(line: Line, s_grid: np.ndarray, tol_abs: float, cap: float):
     """Fixed panel boundaries good for every s in the grid at once.
 
     Panel widths are limited by the phase velocity of the *still-active*
@@ -578,8 +574,8 @@ def _planned_edges(line: Line, s_grid: np.ndarray, tol_abs: float,
     ``(edges, c_per_s, correct_mask)``.
     """
     xs = np.abs(np.log(s_grid) - math.log(line.strike_scale))
-    heights, correct = _height_plan(line, s_grid, tol_abs, height_cap)
-    c_per_s = np.minimum(heights, height_cap)
+    heights, correct = _height_plan(line, s_grid, tol_abs, cap)
+    c_per_s = np.minimum(heights, cap)
     c_max = float(np.max(c_per_s))
     order = np.argsort(c_per_s)          # retirement order
     cs_sorted = c_per_s[order]
@@ -605,76 +601,127 @@ def _planned_edges(line: Line, s_grid: np.ndarray, tol_abs: float,
     return np.asarray(edges), c_per_s, correct
 
 
-def _line_table(line: Line, s_grid, ln_s, weight, tol_abs, height_cap,
-                validate):
-    """One line's contribution on the grid, truncation completed per point."""
-    edges, c_per_s, correct = _planned_edges(line, s_grid, tol_abs, height_cap)
-    # panel-aligned cutoffs: first edge at or above the needed height
-    cut = edges[np.minimum(np.searchsorted(edges, c_per_s, side="left"),
-                           edges.size - 1)]
+def _weight_cap(line: Line, terms, s_hi: float, tol_abs: float, times):
+    """Height beyond which the integrand of every row is negligible for
+    good, or ``_NO_CAP`` when none is found below 1e9 (as for an undamped
+    row)."""
+    R = line.abscissa
+    if times is not None:
+        t_ends = np.array([np.min(times), np.max(times)])
 
-    def values_on(edges_, ln_s_block, cut_block):
+    def probe(v):
+        z = R + 1j * v
+        rows, rate = terms(z)
+        mag = np.max(np.abs(rows), axis=0)
+        if rate is not None:
+            mag = mag * np.max(np.exp(np.multiply.outer(np.real(rate), t_ends)),
+                               axis=-1)
+        return float(np.max(np.abs(line.density(z)) * mag)) * s_hi ** R
+
+    peak = probe(np.array([0.5, 1.0])) + 1e-300
+    c = 64.0
+    while c < 1e9:
+        if probe(np.array([0.71 * c, c])) * c < 1e-3 * tol_abs + 1e-16 * peak:
+            return c
+        c *= 2.0
+    return _NO_CAP
+
+
+def _line_rows(line: Line, s_grid, ln_s, terms, tol_abs, times):
+    """One line's contribution to every row on the grid, each spot
+    truncated at its own height with its oscillatory tail completed.
+    Returns ``(values, err_estimate)``."""
+    cap = _weight_cap(line, terms, float(np.max(s_grid)), tol_abs, times)
+    edges, c_per_s, correct = _planned_edges(line, s_grid, tol_abs, cap)
+    # panel-aligned cutoffs: first edge at or above the needed height
+    cut = edges[np.minimum(np.searchsorted(edges, c_per_s), edges.size - 1)]
+
+    def values_on(edges_, idx):
         v, w = numerics._nodes_from_edges(edges_)
         z = line.abscissa + 1j * v
-        coef = w * line.density(z)
-        if weight is not None:
-            coef = coef * weight(z)
-        vals = np.empty(ln_s_block.size)
-        block = 512
-        for lo in range(0, ln_s_block.size, block):
-            hi = min(lo + block, ln_s_block.size)
-            emat = np.exp(np.multiply.outer(z, ln_s_block[lo:hi]))
-            emat *= (v[:, None] <= cut_block[None, lo:hi])
-            vals[lo:hi] = 2.0 * np.real(coef @ emat)
+        rows, rate = terms(z)
+        coef = rows * (w * line.density(z))
+        vals = np.empty((coef.shape[0], idx.size))
+        for lo in range(0, idx.size, _SPOT_BLOCK):
+            b = idx[lo:lo + _SPOT_BLOCK]
+            expo = np.multiply.outer(z, ln_s[b])
+            if rate is not None:
+                expo += np.multiply.outer(rate, times[b])
+            emat = np.exp(expo)
+            emat *= (v[:, None] <= cut[None, b])
+            vals[:, lo:lo + b.size] = 2.0 * np.real(coef @ emat)
         return vals
 
-    vals = values_on(edges, ln_s, cut)
-    err = 0.0
-    do_corr = correct & (cut * np.abs(np.log(s_grid / line.strike_scale))
-                         >= 0.9 * _CX_MIN)
-    if np.any(do_corr):
-        tail, resid = tail_completion(line, s_grid[do_corr], cut[do_corr],
-                                      weight)
-        vals[do_corr] += tail
+    vals = values_on(edges, np.arange(s_grid.size))
+    # error probe: split every panel once at a few spots; the tail
+    # corrections are identical on both plans, so they stay out of it
+    idx = np.unique(np.linspace(0, s_grid.size - 1, 5).astype(int))
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    split = values_on(np.sort(np.concatenate((edges, mids))), idx)
+    err = float(np.max(np.abs(split - vals[:, idx])))
+    sel = np.flatnonzero(correct & (cut * np.abs(np.log(s_grid / line.strike_scale))
+                                    >= 0.9 * _CX_MIN))
+    if sel.size:
+        def weight3(z3):
+            rows, rate = terms(z3)
+            return rows if rate is None else rows * np.exp(rate * times[sel])
+
+        tail, resid = tail_completion(line, s_grid[sel], cut[sel], weight3)
+        vals[:, sel] += tail
         err = max(err, float(np.max(resid)))
-    if validate:
-        # split every panel once; corrections are identical on both plans
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        edges2 = np.sort(np.concatenate((edges, mids)))
-        idx = np.unique(np.linspace(0, s_grid.size - 1, 5).astype(int))
-        vals2 = values_on(edges2, ln_s[idx], cut[idx])
-        ref = values_on(edges, ln_s[idx], cut[idx])
-        err = max(err, float(np.max(np.abs(vals2 - ref))))
     return vals, err
 
 
-def tabulate_transform(measure: TransformMeasure, s_grid, weight=None, *,
-                       tol_abs: float = 1e-7, height_cap: float = 1e13,
-                       validate: bool = True):
-    """Evaluate ``s -> integral of s^z weight(z) Pi(dz)`` on a whole grid.
-
-    Uses one fixed Kronrod panel plan per line for every s simultaneously
-    (one ``exp`` matrix per line instead of one adaptive quadrature per
-    point), truncating each point at its own needed height and completing
-    oscillatory tails analytically.  A damping weight can shrink the plan
-    via ``height_cap``; the caller probes the decay.  Returns
-    ``(values, err_estimate)``.
-    """
+def _tabulate(measure: TransformMeasure, s_grid, terms, tol_abs: float,
+              times=None):
+    """Rows of ``s_j -> integral of s_j^z rows(z) e^(rate(z) times_j) Pi(dz)``
+    on a grid, with ``terms(z) = (rows, rate)``: ``rows`` carries a leading
+    row axis, and ``rate`` is None when no spot has a factor of its own."""
     s_grid = np.asarray(s_grid, dtype=float)
     if np.any(s_grid <= 0.0):
         raise ValueError("s grid must be positive")
     ln_s = np.log(s_grid)
-    out = np.zeros(s_grid.shape)
+    out = np.zeros((1, s_grid.size))
     err = 0.0
     for line in measure.lines():
-        vals, line_err = _line_table(line, s_grid, ln_s, weight, tol_abs,
-                                     height_cap, validate)
-        out += vals
+        vals, line_err = _line_rows(line, s_grid, ln_s, terms, tol_abs, times)
+        out = out + vals
         err = max(err, line_err)
     for pm in measure.point_masses():
-        w0 = weight(np.asarray(pm.location)) if weight is not None else 1.0
-        out += np.real(pm.weight * np.exp(pm.location * ln_s) * w0)
+        rows, rate = terms(np.asarray(pm.location))
+        expo = pm.location * ln_s
+        if rate is not None:
+            expo = expo + rate * times
+        out = out + np.real(pm.weight * np.exp(expo) * rows[:, None])
     return out, err
+
+
+def tabulate_transform(measure: TransformMeasure, s_grid, weight=None, *,
+                       tol_abs: float = 1e-7):
+    """Evaluate ``s -> integral of s^z weight(z) Pi(dz)`` on a whole grid.
+
+    ``weight(z)`` may return a leading row axis, ``(rows, *z.shape)``, to
+    evaluate many weights at once.  Each line gets one fixed Kronrod panel
+    plan for every s and every row (one ``exp`` matrix per block of spots
+    instead of one adaptive quadrature per point), capped where the
+    weights have damped every row's integrand away; each point is
+    truncated at its own needed height, and the oscillatory tails of all
+    rows are completed analytically in one batch.  Returns ``(values,
+    err_estimate)``; values have shape ``(rows, len(s_grid))``, or
+    ``(len(s_grid),)`` for a weight without a row axis.
+    """
+    flat = True
+
+    def terms(z):
+        nonlocal flat
+        w = np.ones(np.shape(z)) if weight is None else np.asarray(weight(z))
+        if w.ndim > np.ndim(z):
+            flat = False
+            return w, None
+        return w[None], None
+
+    vals, err = _tabulate(measure, s_grid, terms, tol_abs)
+    return (vals[0] if flat else vals), err
 
 
 # ---------------------------------------------------------------------------
@@ -685,8 +732,7 @@ _RIDGE_WIDTH = 300.0     # generous effective width of the antidiagonal ridge
 _PAIR_SOFT_CAP = 3072.0  # beyond this, finish the ridge by iterated quadrature
 
 
-def _pair_truncation(line: Line, axis_slice, anti_slice, tol_abs: float,
-                     s0: float):
+def _pair_truncation(axis_slice, anti_slice, tol_abs: float):
     """Truncation height for one axis of a kernel double integral.
 
     Two tails must die: the axis tail (companion variable small), probed
@@ -793,7 +839,7 @@ def _far_ridge_integral(pair_kernel, Ry, Rz, c: float, tol_abs: float):
 
 
 def double_integrate_measure(measure: TransformMeasure, kernel, *,
-                             s0: float, tol_abs: float = 1e-8,
+                             tol_abs: float = 1e-8,
                              node_budget: int = 4_000_000,
                              warn: bool = True) -> QuadratureResult:
     """``integral of kernel(y, z) Pi(dy) Pi(dz)`` for a symmetric kernel.
@@ -852,10 +898,8 @@ def double_integrate_measure(measure: TransformMeasure, kernel, *,
                 return complex(pair_kernel(np.asarray([complex(li.abscissa, -v)]),
                                            np.asarray([complex(lj.abscissa, v)]))[0])
 
-            ci, tail_i, far_i = _pair_truncation(li, slice_i, anti_ij,
-                                                 tol_abs, s0)
-            cj, tail_j, far_j = _pair_truncation(lj, slice_j, anti_ji,
-                                                 tol_abs, s0)
+            ci, tail_i, far_i = _pair_truncation(slice_i, anti_ij, tol_abs)
+            cj, tail_j, far_j = _pair_truncation(slice_j, anti_ji, tol_abs)
             if far_i or far_j:
                 ci = cj = max(ci, cj)
             width = _ridge_transverse_width(pair_kernel, li.abscissa,
@@ -864,12 +908,8 @@ def double_integrate_measure(measure: TransformMeasure, kernel, *,
             # the cap only needs to bring it within reach
             width *= 1.5 if (far_i or far_j) else 3.0
             budget_axis = int(math.sqrt(node_budget))
-            cy = ContourSpec(li.abscissa, ci, budget_axis,
-                             ContourMode.PRINCIPAL_VALUE if li.principal_value
-                             else ContourMode.ABSOLUTELY_CONVERGENT)
-            cz = ContourSpec(lj.abscissa, cj, budget_axis,
-                             ContourMode.PRINCIPAL_VALUE if lj.principal_value
-                             else ContourMode.ABSOLUTELY_CONVERGENT)
+            cy = ContourSpec(li.abscissa, ci, budget_axis)
+            cz = ContourSpec(lj.abscissa, cj, budget_axis)
             res = numerics.double_contour_integrate(
                 pair_kernel, cy, cz, tol_abs=tol_abs / factor,
                 symmetric=(i == j), max_panel_width=width)

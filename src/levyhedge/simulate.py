@@ -90,39 +90,6 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(chunk_index)])
 
 
-def _increments_chunk(model, dt, rng, n_rows, n_steps, antithetic):
-    if not antithetic:
-        return mdl.sample_increments(model, dt, rng, size=(n_rows, n_steps))
-    half = (n_rows + 1) // 2
-    shape = (half, n_steps)
-    if isinstance(model, mdl.Gaussian):
-        z = rng.standard_normal(shape)
-        loc = (model.mu - 0.5 * model.sigma ** 2) * dt
-        scale = model.sigma * math.sqrt(dt)
-        x = np.vstack((loc + scale * z, loc - scale * z))
-    elif isinstance(model, mdl.MertonJD):
-        z = rng.standard_normal(shape)
-        n = rng.poisson(model.jump_intensity * dt, size=shape)
-        zj = rng.standard_normal(shape)
-        jumps = n * model.jump_mean + np.sqrt(n) * model.jump_sd * zj
-        diff = model.mu * dt + model.sigma * math.sqrt(dt) * z
-        anti = model.mu * dt - model.sigma * math.sqrt(dt) * z
-        x = np.vstack((diff + jumps, anti + jumps))
-    elif isinstance(model, (mdl.NIG, mdl.VG)):
-        if isinstance(model, mdl.NIG):
-            gam = math.sqrt(model.alpha ** 2 - model.beta ** 2)
-            y = rng.wald(model.delta * dt / gam, (model.delta * dt) ** 2, size=shape)
-        else:
-            y = rng.gamma(model.delta * dt, 1.0 / model.alpha, size=shape)
-        z = rng.standard_normal(shape)
-        base = model.mu * dt + model.beta * y
-        x = np.vstack((base + np.sqrt(y) * z, base - np.sqrt(y) * z))
-    else:
-        raise mdl.UnsupportedModelError(
-            f"{type(model).__name__} has no increment sampler")
-    return x[:n_rows]
-
-
 def simulate_paths(model, S0: float, T: float, steps: int, n_paths: int,
                    seed: int) -> Iterator[PathGrid]:
     """Stream of iid paths on the uniform grid, one PathGrid per path."""
@@ -165,100 +132,76 @@ def _spot_grid(model, payoff, S0, T, n_base=1400, n_sigma=8.0):
     return np.exp(grid)
 
 
-def _damping_cap(line, weight_abs, tol_abs, s_hi, c_start=64.0):
-    """Height at which the damped integrand is negligible for good."""
-    amp0 = weight_abs(np.array([0.0, 1.0]))
-    peak = float(np.max(np.abs(line.density(line.abscissa + 1j * np.array([0.5, 1.0])))
-                        * amp0)) * s_hi ** line.abscissa + 1e-300
-    c = c_start
-    while c < 1e9:
-        v = np.array([0.71 * c, c])
-        probe = float(np.max(np.abs(line.density(line.abscissa + 1j * v))
-                             * weight_abs(v))) * s_hi ** line.abscissa
-        if probe * c < 1e-3 * tol_abs + 1e-16 * peak:
-            return c
-        c *= 2.0
-    return 1e9
-
-
-def _tables_discrete(coeffs: hd.DiscreteHedgeCoefficients, payoff, s_grid,
-                     tol_abs):
-    """xi_n and H_n on the spot grid for every step, plus terminal payoff.
-
-    Returns (xi_tab[n-1] for n=1..N, h_tab[n] for n=0..N) as two arrays of
-    shape (N, len(grid)) and (N+1, len(grid)).  One node plan per line is
-    shared by all steps: the plan is budgeted for the undamped terminal
-    payoff, which dominates every damped interior weight.
-    """
+def _discrete_weight(coeffs: hd.DiscreteHedgeCoefficients):
+    """Weight rows of the N-date tables: xi_n for n = 1..N (weight
+    g h^(N-n), still to be divided by the spot), then H_n for n = 0..N
+    (weight h^(N-n)), the last being the payoff."""
     N = coeffs.N
-    ln_s = np.log(s_grid)
-    xi_tab = np.zeros((N, s_grid.size))
-    h_tab = np.zeros((N + 1, s_grid.size))
 
-    for line in payoff.lines():
-        edges, c_per_s, correct = po._planned_edges(line, s_grid, tol_abs)
-        cut = edges[np.minimum(np.searchsorted(edges, c_per_s), edges.size - 1)]
-        v, w = po.numerics._nodes_from_edges(edges)
-        z = line.abscissa + 1j * v
-        dens = w * line.density(z)
-        g_z = coeffs.g(z)
-        h_z = coeffs.h(z)
-        # coefficient rows: 0..N-1 hold xi_(n) at row n-1 (weight g h^(N-n)),
-        # rows N..2N hold H_n at row N+n (weight h^(N-n))
-        coefs = np.empty((2 * N + 1, z.size), dtype=complex)
-        h_pow = np.ones_like(h_z)
-        for k in range(N + 1):                    # h_pow == h^k here
-            coefs[N + (N - k)] = dens * h_pow     # H_(N-k)
-            if k <= N - 1:
-                coefs[(N - k) - 1] = dens * g_z * h_pow   # xi_(N-k)
-            h_pow = h_pow * h_z
-        mask = v[:, None] <= cut[None, :]
-        block = 512
-        for lo in range(0, s_grid.size, block):
-            hi = min(lo + block, s_grid.size)
-            emat = np.exp(np.multiply.outer(z, ln_s[lo:hi]))
-            emat *= mask[:, lo:hi]
-            vals = 2.0 * np.real(coefs @ emat)
-            xi_tab[:, lo:hi] += vals[:N]
-            h_tab[:, lo:hi] += vals[N:]
-        # complete the truncated oscillatory tails row by row
-        do_corr = correct & (cut * np.abs(np.log(s_grid / line.strike_scale))
-                             >= 0.9 * po._CX_MIN)
-        if np.any(do_corr):
-            s_sel = s_grid[do_corr]
-            cs = cut[do_corr]
-            for k in range(N + 1):
-                def w_h(z3, k=k):
-                    return coeffs.h(z3) ** k
-                tail, _ = po.tail_completion(line, s_sel, cs, w_h)
-                h_tab[N - k][do_corr] += tail
-                if k <= N - 1:
-                    def w_xi(z3, k=k):
-                        return coeffs.g(z3) * coeffs.h(z3) ** k
-                    tail, _ = po.tail_completion(line, s_sel, cs, w_xi)
-                    xi_tab[(N - k) - 1][do_corr] += tail
-    for pm in payoff.point_masses():
-        g_p = coeffs.g(np.asarray(pm.location))
-        h_p = coeffs.h(np.asarray(pm.location))
-        e = np.exp(pm.location * ln_s)
-        for n in range(1, N + 1):
-            xi_tab[n - 1] += np.real(pm.weight * g_p * h_p ** (N - n) * e)
-        for n in range(N + 1):
-            h_tab[n] += np.real(pm.weight * h_p ** (N - n) * e)
-    return xi_tab / s_grid, h_tab
+    def weight(z):
+        _, _, g, h = coeffs.moment_terms(z)
+        powers = np.empty((N + 1,) + np.shape(h), dtype=complex)
+        powers[0] = 1.0
+        for k in range(N):
+            powers[k + 1] = powers[k] * h
+        return np.concatenate((g * powers[N - 1::-1], powers[::-1]))
+
+    return weight
 
 
-def _aggregate(err_chunks):
-    """Compensated aggregation of (sum e, sum e^2, sum e^4, n) tuples."""
-    s1 = math.fsum(c[0] for c in err_chunks)
-    s2 = math.fsum(c[1] for c in err_chunks)
-    s4 = math.fsum(c[2] for c in err_chunks)
-    n = sum(c[3] for c in err_chunks)
-    mean_err = s1 / n
-    mean_sq = s2 / n
-    var_sq = max(s4 / n - mean_sq ** 2, 0.0)
-    std_error = math.sqrt(var_sq / n)
-    return mean_err, mean_sq, std_error, n
+def _continuous_weight(coeffs: hc.ContinuousHedgeCoefficients, taus):
+    """Weight rows of the continuous-time tables at times to expiry
+    ``taus``: xi (weight gamma e^(eta tau), still to be divided by the
+    spot), then H (weight e^(eta tau))."""
+    def weight(z):
+        _, _, gam, eta = coeffs.cumulant_terms(z)
+        e = np.exp(np.multiply.outer(taus, eta))
+        return np.concatenate((gam * e, e))
+
+    return weight
+
+
+def _check_backtest(model, n_paths: int) -> None:
+    # before any quadrature: a model without a sampler fails at once
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
+    mdl._require_sampler(model)
+
+
+def _run_paths(model, S0, dt, n_paths, seed, antithetic, s_grid, xi_tab,
+               h_tab, capital, lam, predicted) -> BacktestReport:
+    """The Monte Carlo loop of both backtests.
+
+    Row k of ``xi_tab`` and ``h_tab`` holds xi and H on the spot grid
+    before step k; the last row of ``h_tab`` is the payoff.  Errors are
+    aggregated per chunk, then compensated across chunks.
+    """
+    steps = xi_tab.shape[0]
+    sums = []
+    for chunk_index, first in enumerate(range(0, n_paths, CHUNK_PATHS)):
+        n_rows = min(CHUNK_PATHS, n_paths - first)
+        rng = _chunk_rng(seed, chunk_index)
+        size = (n_rows, steps)
+        dx = (mdl._antithetic_increments(model, dt, rng, size) if antithetic
+              else mdl.sample_increments(model, dt, rng, size=size))
+        s_prev = np.full(n_rows, float(S0))
+        gains = np.zeros(n_rows)
+        for k in range(steps):
+            phi = np.interp(s_prev, s_grid, xi_tab[k])
+            if lam != 0.0:
+                h_prev = np.interp(s_prev, s_grid, h_tab[k])
+                phi = phi + lam / s_prev * (h_prev - capital - gains)
+            s_next = s_prev * np.exp(dx[:, k])
+            gains += phi * (s_next - s_prev)
+            s_prev = s_next
+        err = capital + gains - np.interp(s_prev, s_grid, h_tab[steps])
+        sums.append((float(np.sum(err)), float(np.sum(err ** 2)),
+                     float(np.sum(err ** 4))))
+    s1, s2, s4 = (math.fsum(c[i] for c in sums) for i in range(3))
+    mean_sq = s2 / n_paths
+    var_sq = max(s4 / n_paths - mean_sq ** 2, 0.0)
+    return BacktestReport(n_paths, capital, s1 / n_paths, mean_sq,
+                          math.sqrt(var_sq / n_paths), predicted, int(seed))
 
 
 def backtest_discrete(model, payoff, S0: float, T: float, N: int,
@@ -272,108 +215,20 @@ def backtest_discrete(model, payoff, S0: float, T: float, N: int,
     the risk-minimizing strategy seeded with c instead (its squared-error
     mean is reported raw, still against the optimal-capital prediction).
     """
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
+    _check_backtest(model, n_paths)
     coeffs = hd.coefficients(model, T, N)
     v0 = hd.initial_capital(coeffs, payoff, S0)
     cap = v0 if capital is None else float(capital)
     predicted = hd.error_variance(coeffs, payoff, S0)
-    lam = coeffs.lambda_feedback
-    dt = T / N
 
     s_grid = _spot_grid(model, payoff, S0, T)
-    tol_abs = tol * (1.0 + S0)
-    xi_tab, h_tab = _tables_discrete(coeffs, payoff, s_grid, tol_abs)
-
-    chunks = []
-    emitted = 0
-    chunk_index = 0
-    while emitted < n_paths:
-        n_rows = min(CHUNK_PATHS, n_paths - emitted)
-        rng = _chunk_rng(seed, chunk_index)
-        dx = _increments_chunk(model, dt, rng, n_rows, N, antithetic)
-        s_prev = np.full(n_rows, float(S0))
-        gains = np.zeros(n_rows)
-        for n in range(1, N + 1):
-            phi = np.interp(s_prev, s_grid, xi_tab[n - 1])
-            if lam != 0.0:
-                h_prev = np.interp(s_prev, s_grid, h_tab[n - 1])
-                phi = phi + lam / s_prev * (h_prev - cap - gains)
-            s_next = s_prev * np.exp(dx[:, n - 1])
-            gains += phi * (s_next - s_prev)
-            s_prev = s_next
-        h_term = np.interp(s_prev, s_grid, h_tab[N])
-        err = cap + gains - h_term
-        chunks.append((float(np.sum(err)), float(np.sum(err ** 2)),
-                       float(np.sum(err ** 4)), n_rows))
-        emitted += n_rows
-        chunk_index += 1
-
-    mean_err, mean_sq, std_error, n = _aggregate(chunks)
-    return BacktestReport(n, cap, mean_err, mean_sq, std_error,
-                          predicted, int(seed))
-
-
-def _tables_continuous(coeffs: hc.ContinuousHedgeCoefficients, payoff,
-                       s_grid, times, tol_abs):
-    """xi_t and H_t on the spot grid for each decision time, plus payoff.
-
-    Shapes (len(times), len(grid)); ``h_terminal`` is separate.
-    """
-    T = coeffs.T
-    taus = T - np.asarray(times)
-    ln_s = np.log(s_grid)
-    nt = taus.size
-    xi_tab = np.zeros((nt, s_grid.size))
-    h_tab = np.zeros((nt, s_grid.size))
-    tau_min = max(float(np.min(taus)), 1e-12)
-    s_hi = float(np.max(s_grid))
-
-    for line in payoff.lines():
-        def weight_abs(v, line=line):
-            eta = coeffs.eta(line.abscissa + 1j * np.atleast_1d(v))
-            return np.exp(np.real(eta) * tau_min)
-
-        cap = _damping_cap(line, weight_abs, tol_abs, s_hi)
-        edges, c_per_s, correct = po._planned_edges(line, s_grid, tol_abs, cap)
-        cut = edges[np.minimum(np.searchsorted(edges, np.minimum(c_per_s, cap)),
-                               edges.size - 1)]
-        v, w = po.numerics._nodes_from_edges(edges)
-        z = line.abscissa + 1j * v
-        dens = w * line.density(z)
-        gam = coeffs.gamma(z)
-        eta = coeffs.eta(z)
-        emat = np.exp(np.multiply.outer(z, ln_s))
-        emat *= (v[:, None] <= cut[None, :])
-        t_block = 256
-        for lo in range(0, nt, t_block):
-            hi = min(lo + t_block, nt)
-            wmat = np.exp(np.multiply.outer(taus[lo:hi], eta))     # (t, nodes)
-            h_tab[lo:hi] += 2.0 * np.real((wmat * dens[None, :]) @ emat)
-            xi_tab[lo:hi] += 2.0 * np.real((wmat * (dens * gam)[None, :]) @ emat)
-        do_corr = correct & (cut * np.abs(np.log(s_grid / line.strike_scale))
-                             >= 0.9 * po._CX_MIN)
-        if np.any(do_corr):
-            s_sel = s_grid[do_corr]
-            cs = cut[do_corr]
-            for k in range(nt):
-                def w_h(z3, tau=taus[k]):
-                    return np.exp(coeffs.eta(z3) * tau)
-
-                def w_xi(z3, tau=taus[k]):
-                    return coeffs.gamma(z3) * np.exp(coeffs.eta(z3) * tau)
-
-                tail_h, _ = po.tail_completion(line, s_sel, cs, w_h)
-                tail_x, _ = po.tail_completion(line, s_sel, cs, w_xi)
-                h_tab[k][do_corr] += tail_h
-                xi_tab[k][do_corr] += tail_x
-    for pm in payoff.point_masses():
-        e = np.exp(pm.location * ln_s)[None, :] \
-            * np.exp(coeffs.eta(np.asarray(pm.location)) * taus)[:, None]
-        h_tab += np.real(pm.weight * e)
-        xi_tab += np.real(pm.weight * coeffs.gamma(np.asarray(pm.location)) * e)
-    h_term, _ = po.tabulate_transform(payoff, s_grid, None, tol_abs=tol_abs)
-    return xi_tab / s_grid, h_tab, h_term
+    # one table pass for every step, its plan budgeted for the undamped
+    # terminal payoff, which dominates every damped interior weight
+    rows, _ = po.tabulate_transform(payoff, s_grid, _discrete_weight(coeffs),
+                                    tol_abs=tol * (1.0 + S0))
+    return _run_paths(model, S0, T / N, n_paths, seed, antithetic, s_grid,
+                      rows[:N] / s_grid, rows[N:], cap,
+                      coeffs.lambda_feedback, predicted)
 
 
 def backtest_continuous_approx(model, payoff, S0: float, T: float, steps: int,
@@ -387,43 +242,21 @@ def backtest_continuous_approx(model, payoff, S0: float, T: float, steps: int,
     as ``steps`` grows (additional discretization error on top of the
     inherent incompleteness).
     """
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
+    _check_backtest(model, n_paths)
     coeffs = hc.coefficients_ct(model, T)
     v0 = hc.initial_capital_ct(coeffs, payoff, S0)
     predicted = hc.error_variance_ct(coeffs, payoff, S0)
-    lam = coeffs.lambda_feedback
-    dt = T / steps
-    times = np.linspace(0.0, T, steps + 1)[:-1]
+    taus = T - np.linspace(0.0, T, steps + 1)[:-1]
 
     s_grid = _spot_grid(model, payoff, S0, T)
     tol_abs = tol * (1.0 + S0)
-    xi_tab, h_tab, h_term = _tables_continuous(coeffs, payoff, s_grid, times,
-                                               tol_abs)
-
-    chunks = []
-    emitted = 0
-    chunk_index = 0
-    while emitted < n_paths:
-        n_rows = min(CHUNK_PATHS, n_paths - emitted)
-        rng = _chunk_rng(seed, chunk_index)
-        dx = _increments_chunk(model, dt, rng, n_rows, steps, antithetic)
-        s_prev = np.full(n_rows, float(S0))
-        gains = np.zeros(n_rows)
-        for k in range(steps):
-            phi = np.interp(s_prev, s_grid, xi_tab[k])
-            if lam != 0.0:
-                h_prev = np.interp(s_prev, s_grid, h_tab[k])
-                phi = phi + lam / s_prev * (h_prev - v0 - gains)
-            s_next = s_prev * np.exp(dx[:, k])
-            gains += phi * (s_next - s_prev)
-            s_prev = s_next
-        err = v0 + gains - np.interp(s_prev, s_grid, h_term)
-        chunks.append((float(np.sum(err)), float(np.sum(err ** 2)),
-                       float(np.sum(err ** 4)), n_rows))
-        emitted += n_rows
-        chunk_index += 1
-
-    mean_err, mean_sq, std_error, n = _aggregate(chunks)
-    return BacktestReport(n, v0, mean_err, mean_sq, std_error,
-                          predicted, int(seed))
+    # the decision-time rows are damped and share a capped plan; the
+    # undamped payoff gets a plan of its own
+    rows, _ = po.tabulate_transform(payoff, s_grid,
+                                    _continuous_weight(coeffs, taus),
+                                    tol_abs=tol_abs)
+    h_term, _ = po.tabulate_transform(payoff, s_grid, None, tol_abs=tol_abs)
+    return _run_paths(model, S0, T / steps, n_paths, seed, antithetic,
+                      s_grid, rows[:steps] / s_grid,
+                      np.vstack((rows[steps:], h_term)), v0,
+                      coeffs.lambda_feedback, predicted)

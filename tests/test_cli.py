@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -112,6 +113,26 @@ def test_backtest_command_and_seed_determinism(cfg_path, capsys):
     rc3, out3, _ = run(capsys, "--config", cfg_path, "--seed", "8",
                        "backtest", "--mc.paths", "20000")
     assert out3 != out1
+
+
+def test_readme_sample_config_runs(capsys):
+    cfg = str(pathlib.Path(__file__).resolve().parents[1]
+              / "scripts" / "nig_weekly.cfg")
+    rc, out, _ = run(capsys, "--config", cfg, "price")
+    assert rc == 0
+    rc, out, _ = run(capsys, "--config", cfg, "backtest",
+                     "--mc.paths", "4000", "--mc.antithetic", "true")
+    assert rc == 0
+    assert out.startswith("n_paths,")
+
+
+def test_backtest_without_sampler_exit_code(cfg_path, capsys):
+    rc, _, err = run(capsys, "--config", cfg_path, "backtest",
+                     "--model.tag", "hyperbolic", "--model.alpha", "8.0",
+                     "--model.beta", "2.0", "--model.delta", "1.5",
+                     "--model.mu", "-0.3", "--hedge.steps", "12")
+    assert rc == 1
+    assert "no increment sampler" in err
 
 
 def test_sweep_columns_and_empty_grid(cfg_path, capsys):

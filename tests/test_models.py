@@ -155,6 +155,34 @@ def test_vg_variance_matches_second_cumulant():
     assert abs(v - k2 * dt) <= 3.0 * se
 
 
+def test_antithetic_gaussian_pairs_sum_to_twice_the_mean():
+    dt = 0.1
+    x = mdl._antithetic_increments(GAUSS, dt, np.random.default_rng(7), (7, 3))
+    assert x.shape == (7, 3)
+    # rows 0..3 are drawn, rows 4..6 mirror rows 0..2
+    loc = (GAUSS.mu - 0.5 * GAUSS.sigma ** 2) * dt
+    assert np.allclose(x[:3] + x[4:], 2.0 * loc, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("model", [GAUSS, MERTON, NIG_FIT, VG_FIT],
+                         ids=["gauss", "merton", "nig", "vg"])
+def test_antithetic_moments_match_cumulants(model):
+    dt, n = 0.25, 400_000
+    x = mdl._antithetic_increments(model, dt, np.random.default_rng(99),
+                                   (n, 1))[:, 0]
+    k1, k2 = cumulant_derivatives(model)
+    drawn, mirror = x[:n // 2], x[n // 2:]
+    # the two halves of a pair are dependent, so standard errors are
+    # taken over pair averages; 1e-9 covers the finite-difference cumulant
+    # derivatives where the pair average has no spread (Gaussian)
+    pair_mean = 0.5 * (drawn + mirror)
+    se = pair_mean.std() / math.sqrt(n // 2)
+    assert abs(pair_mean.mean() - k1 * dt) <= 3.0 * se + 1e-9
+    pair_sq = 0.5 * ((drawn - k1 * dt) ** 2 + (mirror - k1 * dt) ** 2)
+    se = pair_sq.std() / math.sqrt(n // 2)
+    assert abs(pair_sq.mean() - k2 * dt) <= 3.0 * se + 1e-9
+
+
 def test_sample_increment_scalar():
     rng = np.random.default_rng(0)
     x = sample_increment(NIG_FIT, 0.01, rng)

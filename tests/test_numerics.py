@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from levyhedge import numerics
 from levyhedge.numerics import (
     BranchJumpError,
-    ContourMode,
     ContourSpec,
     DomainError,
     bessel_k1,
@@ -298,8 +297,7 @@ def test_contour_integrate_digital_pv_at_strike():
     def f(z):
         return 1.0 / (2.0 * math.pi * z)
 
-    res = contour_integrate(f, ContourSpec(0.5, 5e5, 400_000,
-                                           ContourMode.PRINCIPAL_VALUE),
+    res = contour_integrate(f, ContourSpec(0.5, 5e5, 400_000),
                             tol_abs=1e-6, conjugate_symmetric=True)
     assert res.value.real == pytest.approx(0.5, abs=1e-4)
 
@@ -322,8 +320,9 @@ def test_refinement_convergence_budget_doubling():
 
 def test_bromwich_self_truncation_matches_fixed_segment():
     f = _call_density_integrand(2.0)
-    res = bromwich_integrate(f, 2.0, tol_abs=1e-9, truncation_cap=1e8)
+    res, height = bromwich_integrate(f, 2.0, tol_abs=1e-9, truncation_cap=1e8)
     assert res.value.real == pytest.approx(1.0, abs=5e-7)
+    assert 64.0 <= height <= 1e8
 
 
 def test_double_contour_zero_kernel():

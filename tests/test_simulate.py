@@ -137,6 +137,24 @@ def test_antithetic_runs_and_reproduces():
     assert abs(a.z_score) <= 4.0
 
 
+def test_backtests_reject_a_model_without_sampler_before_quadrature(
+        monkeypatch):
+    from levyhedge import hedge_continuous as hc
+    from levyhedge import hedge_discrete as hd
+
+    def quadrature(*args, **kwargs):
+        raise AssertionError("error variance computed for an unsampled model")
+
+    monkeypatch.setattr(hd, "error_variance", quadrature)
+    monkeypatch.setattr(hc, "error_variance_ct", quadrature)
+    hyp = lh.Hyperbolic(alpha=8.0, beta=2.0, delta=1.5, mu=-0.3)
+    with pytest.raises(lh.UnsupportedModelError):
+        backtest_discrete(hyp, lh.call(99.0), 100.0, 0.25, 1, 100, seed=1)
+    with pytest.raises(lh.UnsupportedModelError):
+        backtest_continuous_approx(hyp, lh.call(99.0), 100.0, 0.25, 4, 100,
+                                   seed=1)
+
+
 def test_continuous_approx_stock():
     rep = backtest_continuous_approx(GAUSS, STOCK, 100.0, 0.25, 16, 5_000,
                                      seed=2)
