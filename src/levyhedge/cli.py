@@ -372,6 +372,8 @@ def cmd_backtest(cfg: RunConfig) -> int:
         "predicted_J0": rep.predicted_J0,
         "z_score": rep.z_score,
         "seed": rep.seed,
+        "table_error": rep.table_error,
+        "clamped_paths": rep.clamped_paths,
     }
     _emit([rec], list(rec.keys()), cfg)
     return 0

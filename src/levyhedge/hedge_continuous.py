@@ -229,31 +229,28 @@ def error_variance_ct(coeffs: ContinuousHedgeCoefficients,
         zero = QuadratureResult(0.0 + 0j, 0.0, 3, True)
         return (0.0, zero) if return_result else 0.0
 
+    # everything that depends on one axis only: S0^z and e^{(eta - rate/2) T},
+    # whose product over both axes is e^{alpha T}
     def axis_data(zn):
         k, gt, _, eta = coeffs.cumulant_terms(zn)
-        return k, gt, eta
+        return np.exp(zn * ln_s0), k, gt, eta, np.exp((eta - 0.5 * rate) * T)
 
-    def pair(ydat, zdat, rows, cols, ysum):
-        ky, gty, eta_y = (arr[rows] for arr in ydat)
-        kz, gtz, eta_z = (arr[cols] for arr in zdat)
+    def pair(ydat, zdat, ysum):
+        s0y, ky, gty, eta_y, ey = ydat
+        s0z, kz, gtz, eta_z, ez = zdat
         kyz = mdl.cumulant(model, ysum)
         beta = kyz - ky - kz - gty * gtz / den
-        alpha = eta_y + eta_z - rate
-        w = (alpha - kyz) * T
-        base = ysum * ln_s0 + kyz * T
-        quot = np.empty_like(w)
+        # T (e^{alpha T} - e^{kappa T}) / w with w = (alpha - kappa) T
+        d = eta_y + eta_z - rate - kyz
+        e_k = np.exp(kyz * T)
+        with np.errstate(all="ignore"):
+            quot = (ey * ez - e_k) / d
+        w = d * T
         near = np.abs(w) < 1e-3
-        if np.any(near):
+        if near.any():
             # snaps to the degenerate branch T e^{kappa T} as w -> 0
-            quot[near] = T * np.exp(base[near]) * _exp_diff_quotient(w[near])
-        far = ~near
-        if np.any(far):
-            # difference of two folded exponentials: no overflow even when
-            # one exponent alone would blow up
-            e1 = np.exp(base[far] + w[far])
-            e2 = np.exp(base[far])
-            quot[far] = T * (e1 - e2) / w[far]
-        return beta * quot
+            quot[near] = T * e_k[near] * _exp_diff_quotient(w[near])
+        return (s0y * s0z) * beta * quot
 
     kernel = po.PairKernel(axis_data, axis_data, pair)
     res = po.double_integrate_measure(payoff, kernel, tol_abs=tol * (1.0 + S0))

@@ -18,8 +18,10 @@ and the error variance is the double integral of
     J(y, z) = S0^(y+z) b(y, z) (a(y,z)^N - m(y+z)^N) / (a(y,z) - m(y+z))
 
 with the degenerate a == m branch equal to N m^(N-1) b.  The geometric sum
-is evaluated in the stable normalized form m^(N-1) N q(a/m - 1) with
-q(r) = ((1+r)^N - 1)/(N r), which passes smoothly through the degeneracy.
+is the direct quotient, with a^N taken from per-node roots of a; within
+1e-3 of the degeneracy it is evaluated in the stable normalized form
+m^(N-1) N q(a/m - 1) with q(r) = ((1+r)^N - 1)/(N r), which passes
+smoothly through it.
 """
 
 from __future__ import annotations
@@ -91,7 +93,8 @@ def _geometric_sum(a: np.ndarray, m: np.ndarray, n: int,
     """(a^n - m^n)/(a - m), guarded against under/overflowed arguments.
 
     Evaluated as m^(n-1) n q(a/m - 1) in the generic regime; where one
-    argument utterly dominates, the sum collapses to its (n-1)th power,
+    argument utterly dominates, as the exact ratio m^(n-1) (1 - rho^n) /
+    (1 - rho) in the small ratio rho (a/m, or m/a with the roles swapped),
     and where both have underflowed (n >= 2) it vanishes.  ``log_m``
     (a log of m, any branch) turns the m-power into a single exp.
     """
@@ -110,11 +113,31 @@ def _geometric_sum(a: np.ndarray, m: np.ndarray, n: int,
         m_pow = mm ** (n - 1)
     else:
         m_pow = np.exp((n - 1) * log_m[live])
-    res[big_a] = aa[big_a] ** (n - 1)
-    res[big_m] = m_pow[big_m]
+    rho = mm[big_a] / aa[big_a]
+    res[big_a] = aa[big_a] ** (n - 1) * ((1.0 - rho ** n) / (1.0 - rho))
+    rho = aa[big_m] / mm[big_m]
+    res[big_m] = m_pow[big_m] * ((1.0 - rho ** n) / (1.0 - rho))
     r = aa[mid] / mm[mid] - 1.0
     res[mid] = m_pow[mid] * n * _geometric_sum_q(r, n)
     out[live] = res
+    return out
+
+
+def _geometric_ratio(a, a_pow, m, log_m, n: int):
+    """(a^n - m^n)/(a - m) cell by cell, given ``a_pow`` = a^n.
+
+    The direct quotient holds wherever a and m are apart; cells within
+    1e-3 of the degeneracy a == m, or where the quotient is not finite,
+    go through :func:`_geometric_sum`.
+    """
+    if n == 1:
+        return np.ones(np.shape(m), dtype=complex)
+    d = a - m
+    with np.errstate(all="ignore"):
+        out = (a_pow - np.exp(n * log_m)) / d
+        near = ~(np.abs(d) >= 1e-3 * np.abs(m)) | ~np.isfinite(out)
+    if near.any():
+        out[near] = _geometric_sum(a[near], m[near], n, log_m[near])
     return out
 
 
@@ -315,22 +338,27 @@ def error_variance(coeffs: DiscreteHedgeCoefficients, payoff: po.TransformMeasur
     _admissible_or_raise(coeffs, payoff)
     model, N, dt = coeffs.model, coeffs.N, coeffs.dt
     m1, m2 = coeffs.m1, coeffs.m2
-    a_scale = (m2 - m1 ** 2) / (m2 - 2.0 * m1 + 1.0)
+    a_root = math.sqrt((m2 - m1 ** 2) / (m2 - 2.0 * m1 + 1.0))
     var1 = m2 - m1 ** 2
     ln_s0 = math.log(S0)
 
+    # everything that depends on one axis only: S0^z, the moment terms of
+    # b (grouped as b groups them, so b is computed as before), and the
+    # per-axis root A of a = A_y A_z with its N-th power
     def axis_data(zn):
-        mzn, mzn1, _, h = coeffs.moment_terms(zn)
-        return mzn, mzn1, h
+        mz, mz1, _, h = coeffs.moment_terms(zn)
+        root = h * a_root
+        return (np.exp(zn * ln_s0), mz, mz1, m2 * mz, m1 * mz1, m1 * mz,
+                root, root ** N)
 
-    def pair(ydat, zdat, rows, cols, ysum):
-        my, my1, hy = (arr[rows] for arr in ydat)
-        mz, mz1, hz = (arr[cols] for arr in zdat)
+    def pair(ydat, zdat, ysum):
+        s0y, _, my1, m2_my, m1_my1, m1_my, ay, ay_n = ydat
+        s0z, mz, mz1, _, _, _, az, az_n = zdat
         log_m = mdl.cumulant(model, ysum) * dt
         myz = np.exp(log_m)
-        b = myz - (m2 * my * mz - m1 * my1 * mz - m1 * my * mz1 + my1 * mz1) / var1
-        a = hy * hz * a_scale
-        return np.exp(ysum * ln_s0) * b * _geometric_sum(a, myz, N, log_m)
+        b = myz - (m2_my * mz - m1_my1 * mz - m1_my * mz1 + my1 * mz1) / var1
+        geo = _geometric_ratio(ay * az, ay_n * az_n, myz, log_m, N)
+        return (s0y * s0z) * b * geo
 
     kernel = po.PairKernel(axis_data, axis_data, pair)
     res = po.double_integrate_measure(payoff, kernel, tol_abs=tol * (1.0 + S0))

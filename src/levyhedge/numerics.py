@@ -570,77 +570,77 @@ def _nodes_from_edges(edges: np.ndarray):
     return v, w
 
 
+_TILE_ROWS = 32   # rows of the folded axis per broadcast tile
+
+
+def _pair_protocol(kernel):
+    """``(axis_y, axis_z, pair)`` of a kernel.
+
+    Structured kernels (see ``payoffs.PairKernel``) bring their own; a
+    plain callable ``kernel(y, z)`` gets the nodes as its only axis data
+    and is called on the broadcast tile.
+    """
+    if hasattr(kernel, "pair") and hasattr(kernel, "axis_y"):
+        return kernel.axis_y, kernel.axis_z, kernel.pair
+
+    def axis(nodes):
+        return (nodes,)
+
+    def pair(ydat, zdat, ysum):
+        return kernel(*np.broadcast_arrays(ydat[0], zdat[0]))
+
+    return axis, axis, pair
+
+
 def _tensor_value(kernel, Ry, Rz, vy, wy, vz, wz, symmetric: bool):
-    """Tensor-product sum with conjugation folding, blocked for memory.
+    """Tensor-product sum with conjugation folding, on broadcast tiles.
 
     ``vy`` lives on [0, c] (folded axis), ``vz`` on the full symmetric
     range.  Conjugating both variables conjugates the kernel, so the
     integral equals twice the real part of the folded sum.  When
     ``symmetric`` and the contours coincide, only the fundamental domain
-    of the joint conjugation/swap group is evaluated (a quarter of the
-    plane), with multiplicity weights.  Kernels exposing the structured
-    axis/pair protocol get per-axis precomputation.
+    ``|v_z| <= v_y`` of the joint conjugation/swap group is evaluated (a
+    quarter of the plane), with multiplicity weights.  Axis data are
+    computed once per node; each tile of ``_TILE_ROWS`` rows passes
+    ``(r, 1)`` row views and ``(1, c)`` column views to the pair kernel
+    and is summed as ``w_rows @ Re(values) @ w_cols``.
     """
-    structured = hasattr(kernel, "pair") and hasattr(kernel, "axis_y")
-    total = 0.0
-    nev = 0
+    axis_y, axis_z, pair = _pair_protocol(kernel)
     if symmetric:
-        v_full = np.concatenate((-vy[::-1], vy))
-        w_full = np.concatenate((wy[::-1], wy))
-        n = v_full.size
-        ydat = zdat = None
-        if structured:
-            ydat = kernel.axis_y(Ry + 1j * v_full)
-            if Ry == Rz and kernel.axis_y is kernel.axis_z:
-                zdat = ydat
-            else:
-                zdat = kernel.axis_z(Rz + 1j * v_full)
-        block = max(1, 4_000_000 // n)
-        absv = np.abs(v_full)
-        for lo in range(0, n, block):
-            hi = min(lo + block, n)
-            Y = v_full[lo:hi][:, None]
-            mask = Y >= absv[None, :]
-            if not mask.any():
-                continue
-            mult = np.where(Y > absv[None, :], 4.0, 2.0)
-            rows, cols = np.nonzero(mask)
-            rows = rows + lo
-            if structured:
-                ysum = (Ry + Rz) + 1j * (v_full[rows] + v_full[cols])
-                vals = np.asarray(kernel.pair(ydat, zdat, rows, cols, ysum),
-                                  dtype=complex)
-            else:
-                vals = np.asarray(kernel(Ry + 1j * v_full[rows],
-                                         Rz + 1j * v_full[cols]), dtype=complex)
-            wprod = w_full[rows] * w_full[cols] * mult[rows - lo, cols]
-            total += float(np.sum(wprod * np.real(vals)))
-            nev += rows.size
-        return total, nev
+        vz, wz = vy, wy
+    m = vy.size
     vz_full = np.concatenate((-vz[::-1], vz))
     wz_full = np.concatenate((wz[::-1], wz))
-    n = vz_full.size
-    if structured:
-        ydat = kernel.axis_y(Ry + 1j * vy)
-        zdat = kernel.axis_z(Rz + 1j * vz_full)
-    block = max(1, 4_000_000 // n)
-    cols_row = np.arange(n)
-    for lo in range(0, vy.size, block):
-        hi = min(lo + block, vy.size)
-        m = hi - lo
-        if structured:
-            rows = np.repeat(np.arange(lo, hi), n)
-            cols = np.tile(cols_row, m)
-            ysum = (Ry + Rz) + 1j * (vy[rows] + vz_full[cols])
-            vals = np.asarray(kernel.pair(ydat, zdat, rows, cols, ysum),
-                              dtype=complex).reshape(m, n)
+    z_nodes = Rz + 1j * vz_full
+    zdat = axis_z(z_nodes)
+    y_nodes = Ry + 1j * vy
+    if symmetric and axis_y is axis_z:
+        # the folded axis is the upper half of the full one
+        ydat = tuple(d[m:] for d in zdat)
+    else:
+        ydat = axis_y(y_nodes)
+    total = 0.0
+    nev = 0
+    cols = slice(None)
+    for lo in range(0, m, _TILE_ROWS):
+        hi = min(lo + _TILE_ROWS, m)
+        if symmetric:
+            # columns [m-hi, m+hi) hold every |v_z| <= vy[hi-1]
+            cols = slice(m - hi, m + hi)
+            Y = vy[lo:hi, None]
+            A = np.abs(vz_full[cols])
+            mult = np.where(Y > A, 4.0, np.where(Y == A, 2.0, 0.0))
+        vals = pair(tuple(d[lo:hi, None] for d in ydat),
+                    tuple(d[None, cols] for d in zdat),
+                    y_nodes[lo:hi, None] + z_nodes[None, cols])
+        re = np.real(vals)
+        if symmetric:
+            re = re * mult
+            nev += int(np.count_nonzero(mult))
         else:
-            ys = (Ry + 1j * vy[lo:hi][:, None] + 0.0 * vz_full[None, :]).ravel()
-            zs = (Rz + 0.0 * vy[lo:hi][:, None] + 1j * vz_full[None, :]).ravel()
-            vals = np.asarray(kernel(ys, zs), dtype=complex).reshape(m, n)
-        total += 2.0 * float(((wy[lo:hi][:, None] * wz_full[None, :])
-                              * np.real(vals)).sum())
-        nev += m * n
+            re = 2.0 * re
+            nev += re.size
+        total += float(wy[lo:hi] @ re @ wz_full[cols])
     return total, nev
 
 
@@ -651,11 +651,13 @@ def double_contour_integrate(kernel, contour_y: ContourSpec,
                              max_panel_width: float = math.inf) -> QuadratureResult:
     """Tensor-product quadrature of ``kernel(y, z)`` over two segments.
 
-    ``kernel`` must be vectorized over ndarray arguments of equal shape and
-    conjugate-symmetric under simultaneous conjugation of both arguments
-    (true of every error-variance kernel in this package); the result is
-    real.  Declaring ``symmetric=True`` (kernel(y,z) == kernel(z,y) with
-    identical contours) halves the kernel evaluations.  Principal-value
+    ``kernel`` is either vectorized over ndarray arguments of equal shape
+    or structured with ``axis_y``/``axis_z``/``pair`` (see
+    ``payoffs.PairKernel``), and conjugate-symmetric under simultaneous
+    conjugation of both arguments (true of every error-variance kernel in
+    this package); the result is real.  Declaring ``symmetric=True``
+    (kernel(y,z) == kernel(z,y) with identical contours) halves the kernel
+    evaluations.  Principal-value
     contours use jointly symmetric truncation by construction.  The error
     estimate comes from one uniform refinement of the shared panel layout.
     """

@@ -61,14 +61,19 @@ class PairKernel:
     """Structured kernel for tensor quadrature over two contours.
 
     Error-variance kernels depend on (y, z) only through per-axis
-    quantities and the joint argument y + z, so the tensor evaluator can
-    precompute per-node axis data once and run a cheap combine per node
-    pair instead of re-deriving every transform value pairwise.
+    quantities and the joint argument y + z, so the tensor evaluator
+    computes per-node axis data once and runs a cheap combine on
+    broadcast tiles of node pairs.
 
-    ``axis_y`` / ``axis_z`` map a node array to a tuple of axis arrays;
-    ``pair(ydat, zdat, rows, cols, ysum)`` combines them for index pairs
-    with precomputed ``ysum = y[rows] + z[cols]``.  Instances are also
-    plain callables on equal-shape arrays, used by layout and tail probes.
+    ``axis_y`` / ``axis_z`` map a node array to a tuple of arrays of its
+    shape.  The first is a factor the kernel is linear in: ``pair``
+    multiplies ``ydat[0] * zdat[0]`` into its value, so a measure density
+    is folded into it on the axis.  ``pair(ydat, zdat, ysum)`` combines
+    axis data that broadcast against each other -- ``(r, 1)`` row and
+    ``(1, c)`` column views in the tensor evaluator, equal-shape 1-D
+    arrays elsewhere -- with ``ysum = y + z`` of the broadcast shape.
+    Instances are also plain callables on broadcastable arrays, used by
+    layout and tail probes.
     """
 
     axis_y: Callable
@@ -76,13 +81,9 @@ class PairKernel:
     pair: Callable
 
     def __call__(self, y, z):
-        y = np.asarray(y, dtype=complex)
-        z = np.asarray(z, dtype=complex)
-        shape = y.shape
-        yf, zf = y.ravel(), z.ravel()
-        idx = np.arange(yf.size)
-        out = self.pair(self.axis_y(yf), self.axis_z(zf), idx, idx, yf + zf)
-        return np.asarray(out).reshape(shape)
+        y = np.atleast_1d(np.asarray(y, dtype=complex))
+        z = np.atleast_1d(np.asarray(z, dtype=complex))
+        return np.asarray(self.pair(self.axis_y(y), self.axis_z(z), y + z))
 
 
 @dataclass(frozen=True)
@@ -730,6 +731,9 @@ def tabulate_transform(measure: TransformMeasure, s_grid, weight=None, *,
 
 _RIDGE_WIDTH = 300.0     # generous effective width of the antidiagonal ridge
 _PAIR_SOFT_CAP = 3072.0  # beyond this, finish the ridge by iterated quadrature
+# candidate truncation heights: doublings from 64 up to the soft cap
+_PROBE_HEIGHTS = 64.0 * 2.0 ** np.arange(
+    int(math.log2(_PAIR_SOFT_CAP / 64.0)) + 1)
 
 
 def _pair_truncation(axis_slice, anti_slice, tol_abs: float):
@@ -739,21 +743,25 @@ def _pair_truncation(axis_slice, anti_slice, tol_abs: float):
     directly, and the antidiagonal ridge, where the joint moment factor
     stops decaying and only the density product falls off.  If the ridge
     cannot be exhausted by a moderate height, the region beyond is handed
-    to ``_far_ridge_integral`` instead of growing the tensor grid.
+    to ``_far_ridge_integral`` instead of growing the tensor grid.  Both
+    slices are vectorized; every candidate height is probed in one call.
     Returns ``(height, tail_estimate, needs_far_part)``.
     """
-    c = 64.0
+    v = np.concatenate((_PROBE_HEIGHTS, 0.71 * _PROBE_HEIGHTS))
+    axis = np.abs(axis_slice(v)).reshape(2, -1).max(axis=0)
+    ridge = np.abs(anti_slice(v)).reshape(2, -1).max(axis=0)
     c_axis = None
-    while c <= _PAIR_SOFT_CAP:
-        axis = max(abs(axis_slice(c)), abs(axis_slice(0.71 * c)))
-        ridge = max(abs(anti_slice(c)), abs(anti_slice(0.71 * c)))
-        if c_axis is None and axis * c < 0.15 * tol_abs:
+    for c, ax, rg in zip(_PROBE_HEIGHTS.tolist(), axis.tolist(),
+                         ridge.tolist()):
+        if c_axis is None and ax * c < 0.15 * tol_abs:
             c_axis = c
-        tail = axis * c + ridge * c * _RIDGE_WIDTH
+        tail = ax * c + rg * c * _RIDGE_WIDTH
         if tail < 0.3 * tol_abs:
             return c, tail, False
-        c *= 2.0
     return max(c_axis or _PAIR_SOFT_CAP, 1024.0), 0.0, True
+
+
+_RIDGE_OFFSETS = np.array([0.0, 10.0, 20.0, 40.0, 80.0, 160.0, 320.0, 640.0])
 
 
 def _ridge_transverse_width(pair_kernel, Ry, Rz, c, default=math.inf):
@@ -764,16 +772,12 @@ def _ridge_transverse_width(pair_kernel, Ry, Rz, c, default=math.inf):
     cells diagonally.
     """
     v0 = 0.5 * c
-
-    def at(u):
-        return abs(complex(pair_kernel(np.asarray([Ry + 1j * (v0 + u)]),
-                                       np.asarray([Rz - 1j * v0]))[0]))
-
-    peak = at(0.0)
+    mags = np.abs(pair_kernel(Ry + 1j * (v0 + _RIDGE_OFFSETS), Rz - 1j * v0))
+    peak = mags[0]
     if peak < 1e-300:
         return default
-    for u in (10.0, 20.0, 40.0, 80.0, 160.0, 320.0, 640.0):
-        if at(u) < 0.5 * peak:
+    for u, mag in zip(_RIDGE_OFFSETS[1:].tolist(), mags[1:]):
+        if mag < 0.5 * peak:
             return max(u, 16.0)
     return default
 
@@ -792,20 +796,21 @@ def _far_ridge_integral(pair_kernel, Ry, Rz, c: float, tol_abs: float):
     inner_tol = 0.05 * tol_abs * c
 
     def g(v):
-        def fu(u):
-            u = np.asarray(u)
-            return pair_kernel(np.full(u.shape, Ry + 1j * v),
-                               Rz + 1j * (u - v))
+        # y is fixed on the inner integral: its axis data are taken once
+        y = np.array([Ry + 1j * v])
+        ydat = pair_kernel.axis_y(y)
+
+        def fu_pair(uu):
+            n = uu.size
+            z = Rz + 1j * (np.concatenate((uu, -uu)) - v)
+            vals = pair_kernel.pair(ydat, pair_kernel.axis_z(z), y + z)
+            return vals[:n] + vals[n:]
 
         U = 256.0
         val = 0.0 + 0j
         err = 0.0
         lo = 0.0
         while U <= 4.0e6:
-            def fu_pair(uu):
-                uu = np.asarray(uu)
-                return fu(uu) + fu(-uu)
-
             seg, e, _, _, _ = numerics._adapt(fu_pair, lo, U, inner_tol, 40_000, 8)
             val += seg
             err += e
@@ -844,11 +849,12 @@ def double_integrate_measure(measure: TransformMeasure, kernel, *,
                              warn: bool = True) -> QuadratureResult:
     """``integral of kernel(y, z) Pi(dy) Pi(dz)`` for a symmetric kernel.
 
-    ``kernel`` must be vectorized over equal-shape ndarrays, symmetric in
-    (y, z), and conjugate-symmetric under joint conjugation.  Line-line
-    blocks use tensor quadrature (distinct line pairs are folded into one
-    evaluation with weight two); line-point blocks reduce to single
-    contour integrals; point-point blocks are evaluated directly.
+    ``kernel`` is a :class:`PairKernel`, symmetric in (y, z) and
+    conjugate-symmetric under joint conjugation.  Line-line blocks use
+    tensor quadrature (distinct line pairs are folded into one evaluation
+    with weight two), with each line's density multiplied into the
+    leading axis factor; line-point blocks reduce to single contour
+    integrals; point-point blocks are evaluated directly.
     """
     lines = measure.lines()
     pms = measure.point_masses()
@@ -857,53 +863,33 @@ def double_integrate_measure(measure: TransformMeasure, kernel, *,
     nodes = 0
     converged = True
 
-    structured = isinstance(kernel, PairKernel)
+    def with_density(axis, line):
+        def axis_line(zn):
+            scale, *rest = axis(zn)
+            return (scale * line.density(zn), *rest)
+        return axis_line
+
     for i, li in enumerate(lines):
         for j in range(i, len(lines)):
             lj = lines[j]
             factor = 1.0 if i == j else 2.0
+            axis_i = with_density(kernel.axis_y, li)
+            axis_j = axis_i if i == j else with_density(kernel.axis_z, lj)
+            pair_kernel = PairKernel(axis_i, axis_j, kernel.pair)
+            Ri, Rj = li.abscissa, lj.abscissa
 
-            if structured:
-                def axis_i(zn, li=li):
-                    return (li.density(zn),) + tuple(kernel.axis_y(zn))
+            def along(dy, dz):
+                # the kernel at y = Ri + i dy v, z = Rj + i dz v
+                return lambda v: pair_kernel(Ri + 1j * (dy * v),
+                                             Rj + 1j * (dz * v))
 
-                if i == j:
-                    axis_j = axis_i
-                else:
-                    def axis_j(zn, lj=lj):
-                        return (lj.density(zn),) + tuple(kernel.axis_z(zn))
-
-                def pair_d(ydat, zdat, rows, cols, ysum):
-                    vals = kernel.pair(ydat[1:], zdat[1:], rows, cols, ysum)
-                    return vals * ydat[0][rows] * zdat[0][cols]
-
-                pair_kernel = PairKernel(axis_i, axis_j, pair_d)
-            else:
-                def pair_kernel(y, z, li=li, lj=lj):
-                    return kernel(y, z) * li.density(y) * lj.density(z)
-
-            def slice_i(v, li=li, lj=lj):
-                return complex(pair_kernel(np.asarray([complex(li.abscissa, v)]),
-                                           np.asarray([complex(lj.abscissa, 0.0)]))[0])
-
-            def slice_j(v, li=li, lj=lj):
-                return complex(pair_kernel(np.asarray([complex(li.abscissa, 0.0)]),
-                                           np.asarray([complex(lj.abscissa, v)]))[0])
-
-            def anti_ij(v, li=li, lj=lj):
-                return complex(pair_kernel(np.asarray([complex(li.abscissa, v)]),
-                                           np.asarray([complex(lj.abscissa, -v)]))[0])
-
-            def anti_ji(v, li=li, lj=lj):
-                return complex(pair_kernel(np.asarray([complex(li.abscissa, -v)]),
-                                           np.asarray([complex(lj.abscissa, v)]))[0])
-
-            ci, tail_i, far_i = _pair_truncation(slice_i, anti_ij, tol_abs)
-            cj, tail_j, far_j = _pair_truncation(slice_j, anti_ji, tol_abs)
+            ci, tail_i, far_i = _pair_truncation(along(1.0, 0.0),
+                                                 along(1.0, -1.0), tol_abs)
+            cj, tail_j, far_j = _pair_truncation(along(0.0, 1.0),
+                                                 along(-1.0, 1.0), tol_abs)
             if far_i or far_j:
                 ci = cj = max(ci, cj)
-            width = _ridge_transverse_width(pair_kernel, li.abscissa,
-                                            lj.abscissa, max(ci, cj))
+            width = _ridge_transverse_width(pair_kernel, Ri, Rj, max(ci, cj))
             # the uniform-refinement error check guards the ridge already;
             # the cap only needs to bring it within reach
             width *= 1.5 if (far_i or far_j) else 3.0

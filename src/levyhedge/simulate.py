@@ -68,7 +68,11 @@ class BacktestReport:
     ``empirical_error_variance`` is the mean of squared terminal errors
     (capital + gains - payoff), matching the quantity the closed form
     predicts; ``std_error`` is the sample standard deviation of the
-    squared errors divided by sqrt(n_paths).
+    squared errors divided by sqrt(n_paths).  ``table_error`` is the
+    largest error estimate of the transform tables the strategy was
+    interpolated from; ``clamped_paths`` counts the paths whose spot left
+    the tabulated grid at some date, terminal payoff included, where the
+    interpolation held the edge value.
     """
 
     n_paths: int
@@ -78,6 +82,8 @@ class BacktestReport:
     std_error: float
     predicted_J0: float
     seed: int
+    table_error: float = 0.0
+    clamped_paths: int = 0
 
     @property
     def z_score(self) -> float:
@@ -169,7 +175,7 @@ def _check_backtest(model, n_paths: int) -> None:
 
 
 def _run_paths(model, S0, dt, n_paths, seed, antithetic, s_grid, xi_tab,
-               h_tab, capital, lam, predicted) -> BacktestReport:
+               h_tab, capital, lam, predicted, table_error) -> BacktestReport:
     """The Monte Carlo loop of both backtests.
 
     Row k of ``xi_tab`` and ``h_tab`` holds xi and H on the spot grid
@@ -178,6 +184,7 @@ def _run_paths(model, S0, dt, n_paths, seed, antithetic, s_grid, xi_tab,
     """
     steps = xi_tab.shape[0]
     sums = []
+    clamped = 0
     for chunk_index, first in enumerate(range(0, n_paths, CHUNK_PATHS)):
         n_rows = min(CHUNK_PATHS, n_paths - first)
         rng = _chunk_rng(seed, chunk_index)
@@ -185,6 +192,8 @@ def _run_paths(model, S0, dt, n_paths, seed, antithetic, s_grid, xi_tab,
         dx = (mdl._antithetic_increments(model, dt, rng, size) if antithetic
               else mdl.sample_increments(model, dt, rng, size=size))
         s_prev = np.full(n_rows, float(S0))
+        s_lo = s_prev.copy()
+        s_hi = s_prev.copy()
         gains = np.zeros(n_rows)
         for k in range(steps):
             phi = np.interp(s_prev, s_grid, xi_tab[k])
@@ -194,14 +203,19 @@ def _run_paths(model, S0, dt, n_paths, seed, antithetic, s_grid, xi_tab,
             s_next = s_prev * np.exp(dx[:, k])
             gains += phi * (s_next - s_prev)
             s_prev = s_next
+            np.minimum(s_lo, s_prev, out=s_lo)
+            np.maximum(s_hi, s_prev, out=s_hi)
         err = capital + gains - np.interp(s_prev, s_grid, h_tab[steps])
+        clamped += int(np.count_nonzero((s_lo < s_grid[0])
+                                        | (s_hi > s_grid[-1])))
         sums.append((float(np.sum(err)), float(np.sum(err ** 2)),
                      float(np.sum(err ** 4))))
     s1, s2, s4 = (math.fsum(c[i] for c in sums) for i in range(3))
     mean_sq = s2 / n_paths
     var_sq = max(s4 / n_paths - mean_sq ** 2, 0.0)
     return BacktestReport(n_paths, capital, s1 / n_paths, mean_sq,
-                          math.sqrt(var_sq / n_paths), predicted, int(seed))
+                          math.sqrt(var_sq / n_paths), predicted, int(seed),
+                          table_error, clamped)
 
 
 def backtest_discrete(model, payoff, S0: float, T: float, N: int,
@@ -224,11 +238,11 @@ def backtest_discrete(model, payoff, S0: float, T: float, N: int,
     s_grid = _spot_grid(model, payoff, S0, T)
     # one table pass for every step, its plan budgeted for the undamped
     # terminal payoff, which dominates every damped interior weight
-    rows, _ = po.tabulate_transform(payoff, s_grid, _discrete_weight(coeffs),
-                                    tol_abs=tol * (1.0 + S0))
+    rows, table_err = po.tabulate_transform(
+        payoff, s_grid, _discrete_weight(coeffs), tol_abs=tol * (1.0 + S0))
     return _run_paths(model, S0, T / N, n_paths, seed, antithetic, s_grid,
                       rows[:N] / s_grid, rows[N:], cap,
-                      coeffs.lambda_feedback, predicted)
+                      coeffs.lambda_feedback, predicted, table_err)
 
 
 def backtest_continuous_approx(model, payoff, S0: float, T: float, steps: int,
@@ -252,11 +266,13 @@ def backtest_continuous_approx(model, payoff, S0: float, T: float, steps: int,
     tol_abs = tol * (1.0 + S0)
     # the decision-time rows are damped and share a capped plan; the
     # undamped payoff gets a plan of its own
-    rows, _ = po.tabulate_transform(payoff, s_grid,
-                                    _continuous_weight(coeffs, taus),
-                                    tol_abs=tol_abs)
-    h_term, _ = po.tabulate_transform(payoff, s_grid, None, tol_abs=tol_abs)
+    rows, rows_err = po.tabulate_transform(payoff, s_grid,
+                                           _continuous_weight(coeffs, taus),
+                                           tol_abs=tol_abs)
+    h_term, term_err = po.tabulate_transform(payoff, s_grid, None,
+                                             tol_abs=tol_abs)
     return _run_paths(model, S0, T / steps, n_paths, seed, antithetic,
                       s_grid, rows[:steps] / s_grid,
                       np.vstack((rows[steps:], h_term)), v0,
-                      coeffs.lambda_feedback, predicted)
+                      coeffs.lambda_feedback, predicted,
+                      max(rows_err, term_err))

@@ -115,6 +115,23 @@ def test_backtest_command_and_seed_determinism(cfg_path, capsys):
     assert out3 != out1
 
 
+def test_backtest_command_reports_table_error_and_clamping(cfg_path, capsys):
+    rc, out, _ = run(capsys, "--config", cfg_path, "backtest",
+                     "--mc.paths", "4000")
+    assert rc == 0
+    header, row = out.strip().splitlines()[:2]
+    row = dict(zip(header.split(","), row.split(",")))
+    assert 0.0 < float(row["table_error"]) < float("inf")
+    assert int(row["clamped_paths"]) == 0
+    rc, out, _ = run(capsys, "--config", cfg_path, "--format", "json",
+                     "backtest", "--mc.paths", "4000")
+    assert rc == 0
+    rec = json.loads(out)
+    rec = rec[0] if isinstance(rec, list) else rec
+    assert float(rec["table_error"]) == float(row["table_error"])
+    assert rec["clamped_paths"] == 0
+
+
 def test_readme_sample_config_runs(capsys):
     cfg = str(pathlib.Path(__file__).resolve().parents[1]
               / "scripts" / "nig_weekly.cfg")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,22 @@ def test_degenerate_branch_continuity():
     assert prev <= 1e-9
     exact = hd._geometric_sum(m.copy(), m, N)
     assert exact[0] == pytest.approx(complex(limit[0]), rel=1e-14)
+
+
+@pytest.mark.parametrize("dominant", ["m", "a"])
+def test_geometric_sum_dominance_keeps_first_order_term(dominant):
+    # at N = 63 a ratio |a/m| = 1e-4 is past the dominance threshold; the
+    # sum is m^(N-1) (1 + a/m + ...), not m^(N-1)
+    mp = pytest.importorskip("mpmath")
+    N = 63
+    big = 0.97 + 0.05j
+    small = big * 1e-4 * complex(math.cos(0.3), math.sin(0.3))
+    a, m = (small, big) if dominant == "m" else (big, small)
+    got = complex(hd._geometric_sum(np.array([a]), np.array([m]), N)[0])
+    with mp.workdps(50):
+        am, mm = mp.mpc(a), mp.mpc(m)
+        want = complex((am ** N - mm ** N) / (am - mm))
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_error_variance_nonnegative_catalog():

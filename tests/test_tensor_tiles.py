@@ -1,0 +1,121 @@
+"""The tile evaluator of the double contour against direct pair sums."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import levyhedge as lh
+from levyhedge import numerics
+from levyhedge.payoffs import PairKernel
+
+NIG_FIT = lh.NIG(alpha=75.49, beta=-4.089, delta=3.024, mu=-0.04)
+VG = lh.VG(alpha=60.0, beta=-3.0, delta=5.0, mu=0.01)
+
+# small fixed node sets: the folded axes hold 60 and 45 nodes, so the
+# evaluator runs two tiles of rows
+EDGES_Y = np.array([0.0, 2.0, 7.0, 20.0, 60.0])
+EDGES_Z = np.array([0.0, 5.0, 25.0, 80.0])
+
+
+def _direct_sum(kernel, Ry, Rz, vy, wy, vz, wz, symmetric):
+    """Sum of w_i w_j Re K(y_i, z_j), pair by pair on 1-D arrays.
+
+    Without symmetry the pairs cover both full axes.  With it they cover
+    the fundamental domain |v_z| <= v_y of the joint swap/conjugation
+    group, weighted by orbit size (4 inside, 2 on its edges): the folding
+    assumes exact symmetry, which the rounding of a cancelling kernel
+    does not have, so the full plane is no reference there.
+    """
+    vz_full = np.concatenate((-vz[::-1], vz))
+    wz_full = np.concatenate((wz[::-1], wz))
+    if symmetric:
+        rows, cols = np.nonzero(vy[:, None] >= np.abs(vz_full)[None, :])
+        mult = np.where(vy[rows] > np.abs(vz_full[cols]), 4.0, 2.0)
+    else:
+        vy = np.concatenate((-vy[::-1], vy))
+        wy = np.concatenate((wy[::-1], wy))
+        rows, cols = (a.ravel() for a in np.indices((vy.size, vz_full.size)))
+        mult = 1.0
+    y = Ry + 1j * vy[rows]
+    z = Rz + 1j * vz_full[cols]
+    vals = kernel(y, z)
+    return float(np.sum(mult * wy[rows] * wz_full[cols] * np.real(vals)))
+
+
+def _check_tiles(kernel, Ry, Rz, symmetric):
+    vy, wy = numerics._nodes_from_edges(EDGES_Y)
+    vz, wz = (vy, wy) if symmetric else numerics._nodes_from_edges(EDGES_Z)
+    got, nev = numerics._tensor_value(kernel, Ry, Rz, vy, wy, vz, wz,
+                                      symmetric)
+    want = _direct_sum(kernel, Ry, Rz, vy, wy, vz, wz, symmetric)
+    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+    # the fundamental domain |v_z| <= v_y holds 2(i+1) columns in row i
+    assert nev == (vy.size * (vy.size + 1) if symmetric
+                   else vy.size * 2 * vz.size)
+
+
+def test_tiles_match_direct_sum_plain_kernels():
+    def sym(y, z):
+        return 1.0 / ((1.0 + y * y) * (1.0 + z * z)) + 1.0 / (3.0 + y * z)
+
+    def asym(y, z):
+        return np.exp(0.3 * y) / ((1.0 + y * y) * (2.0 + z * z)) \
+            + 1.0 / (4.0 + y + 2.0 * z)
+
+    _check_tiles(sym, 0.5, 0.5, symmetric=True)
+    _check_tiles(asym, 0.5, 1.5, symmetric=False)
+
+
+def _line_kernels(monkeypatch, run):
+    """The per-block pair kernels that ``double_integrate_measure`` hands
+    to the double contour, with their abscissas and symmetry."""
+    seen = []
+    inner = numerics.double_contour_integrate
+
+    def spy(kernel, cy, cz, **kwargs):
+        seen.append((kernel, cy.abscissa, cz.abscissa, kwargs["symmetric"]))
+        return inner(kernel, cy, cz, **kwargs)
+
+    monkeypatch.setattr(numerics, "double_contour_integrate", spy)
+    run()
+    return seen
+
+
+@pytest.mark.parametrize("mode", ["discrete", "continuous"])
+def test_tiles_match_direct_sum_error_variance_kernels(mode, monkeypatch):
+    spread = lh.call(95.0) - lh.call(105.0)
+    if mode == "discrete":
+        co = lh.coefficients(NIG_FIT, 0.25, 12)
+        blocks = _line_kernels(
+            monkeypatch, lambda: lh.error_variance(co, spread, 100.0))
+    else:
+        co = lh.coefficients_ct(NIG_FIT, 0.25)
+        blocks = _line_kernels(
+            monkeypatch, lambda: lh.error_variance_ct(co, spread, 100.0))
+    # two line blocks and the cross-line block between them
+    assert [b[3] for b in blocks] == [True, False, True]
+    for kernel, Ry, Rz, symmetric in blocks:
+        assert isinstance(kernel, PairKernel)
+        _check_tiles(kernel, Ry, Rz, symmetric)
+
+
+def test_error_variance_node_count_pinned():
+    co = lh.coefficients(NIG_FIT, 0.25, 12)
+    _, res = lh.error_variance(co, lh.call(99.0), 100.0, return_result=True)
+    assert res.nodes_used == 478380
+    assert res.converged
+
+
+def test_error_variance_peak_memory_bounded():
+    # tiles keep the double contour's working set small; whole-plane
+    # blocks of node pairs took about 400 MB here
+    co = lh.coefficients(VG, 0.25, 63)
+    spread = lh.call(95.0) - lh.call(105.0)
+    tracemalloc.start()
+    try:
+        lh.error_variance(co, spread, 100.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
