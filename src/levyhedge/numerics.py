@@ -464,11 +464,14 @@ def bromwich_integrate(integrand, abscissa: float, *,
                        conjugate_symmetric: bool = True):
     """Self-truncating vertical-line integral.
 
-    Integrates outward in geometrically growing segments ``[c, 2c]`` until
-    two consecutive segment contributions fall below
-    ``dead_tol_factor * tol_abs``, or the truncation cap / node budget is
-    hit.  The observed segment contribution is itself the tail estimate:
-    valid for damped and oscillatory-algebraic integrands alike.  With
+    Integrates outward in geometrically growing segments ``[c, 2c]``, the
+    first being ``[0, min(64, c_start)]``, until two consecutive segment
+    contributions fall below ``dead_tol_factor * tol_abs`` at a height of
+    at least ``c_start``, or the truncation cap / node budget is hit.  A
+    short first segment keeps its panels fine enough for the bulk near
+    ``v = 0`` however tall ``c_start`` is.  The observed segment
+    contribution is itself the tail estimate: valid for damped and
+    oscillatory-algebraic integrands alike.  With
     ``external_tail`` the caller completes the tail analytically (see the
     payoff engine), so no segment-based tail heuristic is added.  Returns
     ``(result, height)``, the height being where the run stopped.
@@ -477,7 +480,7 @@ def bromwich_integrate(integrand, abscissa: float, *,
     value = 0.0 + 0j
     err = 0.0
     nevals = 0
-    lo, hi = 0.0, min(c_start, truncation_cap)
+    lo, hi = 0.0, min(64.0, c_start, truncation_cap)
     small_streak = 0
     converged = True
     while True:
@@ -492,7 +495,7 @@ def bromwich_integrate(integrand, abscissa: float, *,
         else:
             small_streak = 0
         at_cap = hi >= 0.999999 * truncation_cap
-        if small_streak >= 2 or at_cap:
+        if (small_streak >= 2 and hi >= c_start) or at_cap:
             if not external_tail:
                 err += abs(v)
                 if at_cap and small_streak < 2:

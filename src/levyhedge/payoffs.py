@@ -187,6 +187,15 @@ def _scaled(density, a):
 _TWO_PI = 2.0 * math.pi
 
 
+def _closed_form(f):
+    """A catalog payoff's ``analytic``: ``f`` is elementwise numpy code;
+    a float in gives a float out, an array in gives an array out."""
+    def analytic(s):
+        out = f(np.asarray(s, dtype=float))
+        return float(out) if np.ndim(out) == 0 else out
+    return analytic
+
+
 def call(strike: float, abscissa: float = 1.5) -> TransformMeasure:
     """(s - K)^+ from a single line with R > 1."""
     if strike <= 0.0:
@@ -199,8 +208,9 @@ def call(strike: float, abscissa: float = 1.5) -> TransformMeasure:
         return K ** (1.0 - z) / (_TWO_PI * z * (z - 1.0))
 
     line = Line(abscissa, density, strike_scale=K)
-    return TransformMeasure((line,), abscissa, abscissa,
-                            analytic=lambda s: max(s - K, 0.0))
+    return TransformMeasure(
+        (line,), abscissa, abscissa,
+        analytic=_closed_form(lambda s: np.maximum(s - K, 0.0)))
 
 
 def put(strike: float, abscissa: float = -0.5) -> TransformMeasure:
@@ -215,8 +225,9 @@ def put(strike: float, abscissa: float = -0.5) -> TransformMeasure:
         return K ** (1.0 - z) / (_TWO_PI * z * (z - 1.0))
 
     line = Line(abscissa, density, strike_scale=K)
-    return TransformMeasure((line,), abscissa, abscissa,
-                            analytic=lambda s: max(K - s, 0.0))
+    return TransformMeasure(
+        (line,), abscissa, abscissa,
+        analytic=_closed_form(lambda s: np.maximum(K - s, 0.0)))
 
 
 def call_low_moment(strike: float, abscissa: float = 0.5) -> TransformMeasure:
@@ -236,9 +247,9 @@ def call_low_moment(strike: float, abscissa: float = 0.5) -> TransformMeasure:
         return K ** (1.0 - z) / (_TWO_PI * z * (z - 1.0))
 
     line = Line(abscissa, density, strike_scale=K)
-    return TransformMeasure((line, PointMass(1.0 + 0j, 1.0 + 0j)),
-                            abscissa, abscissa,
-                            analytic=lambda s: max(s - K, 0.0))
+    return TransformMeasure(
+        (line, PointMass(1.0 + 0j, 1.0 + 0j)), abscissa, abscissa,
+        analytic=_closed_form(lambda s: np.maximum(s - K, 0.0)))
 
 
 def power_call(strike: float, n: int, abscissa: Optional[float] = None) -> TransformMeasure:
@@ -260,8 +271,9 @@ def power_call(strike: float, n: int, abscissa: Optional[float] = None) -> Trans
         return fact * K ** (n - z) / (_TWO_PI * den)
 
     line = Line(R, density, decay_power=float(n + 1), strike_scale=K)
-    return TransformMeasure((line,), R, R,
-                            analytic=lambda s: max(s - K, 0.0) ** n)
+    return TransformMeasure(
+        (line,), R, R,
+        analytic=_closed_form(lambda s: np.maximum(s - K, 0.0) ** n))
 
 
 def power_call_fractional(strike: float, power: float,
@@ -286,8 +298,9 @@ def power_call_fractional(strike: float, power: float,
         return K ** (a - z) * np.exp(lg) / _TWO_PI
 
     line = Line(R, density, decay_power=a + 1.0, strike_scale=K)
-    return TransformMeasure((line,), R, R,
-                            analytic=lambda s: max(s - K, 0.0) ** a)
+    return TransformMeasure(
+        (line,), R, R,
+        analytic=_closed_form(lambda s: np.maximum(s - K, 0.0) ** a))
 
 
 def self_quanto_call(strike: float, abscissa: float = 2.5) -> TransformMeasure:
@@ -307,8 +320,9 @@ def self_quanto_call(strike: float, abscissa: float = 2.5) -> TransformMeasure:
         return K ** (2.0 - z) / (_TWO_PI * (z - 1.0) * (z - 2.0))
 
     line = Line(abscissa, density, strike_scale=K)
-    return TransformMeasure((line,), abscissa, abscissa,
-                            analytic=lambda s: max(s - K, 0.0) * s)
+    return TransformMeasure(
+        (line,), abscissa, abscissa,
+        analytic=_closed_form(lambda s: np.maximum(s - K, 0.0) * s))
 
 
 def digital(strike: float, abscissa: float = 0.5) -> TransformMeasure:
@@ -330,14 +344,11 @@ def digital(strike: float, abscissa: float = 0.5) -> TransformMeasure:
     line = Line(abscissa, density, principal_value=True,
                 decay_power=1.0, strike_scale=K)
 
-    def analytic(s):
-        if s > K:
-            return 1.0
-        if s == K:
-            return 0.5
-        return 0.0
+    def indicator(s):
+        return np.where(s > K, 1.0, np.where(s == K, 0.5, 0.0))
 
-    return TransformMeasure((line,), abscissa, abscissa, analytic=analytic)
+    return TransformMeasure((line,), abscissa, abscissa,
+                            analytic=_closed_form(indicator))
 
 
 def log_contract(abscissa_neg: float = -0.5, abscissa_pos: float = 0.5) -> TransformMeasure:
@@ -356,7 +367,7 @@ def log_contract(abscissa_neg: float = -0.5, abscissa_pos: float = 0.5) -> Trans
     lines = (Line(abscissa_pos, density_pos, strike_scale=1.0),
              Line(abscissa_neg, density_neg, strike_scale=1.0))
     return TransformMeasure(lines, abscissa_neg, abscissa_pos,
-                            analytic=math.log)
+                            analytic=_closed_form(np.log))
 
 
 # ---------------------------------------------------------------------------
@@ -628,6 +639,37 @@ def _weight_cap(line: Line, terms, s_hi: float, tol_abs: float, times):
     return _NO_CAP
 
 
+def _kept_cell_sums(coef, z, rate, v, cut, ln_s, times):
+    """``2 Re sum_i coef[:, i] exp(z_i ln s_j + rate_i t_j)`` over the
+    nodes with ``v_i <= cut_j``, for every spot j (``rate`` may be None).
+
+    Nodes ascend in v, so spot j keeps exactly its first ``k_j`` nodes.
+    With the spots sorted by descending ``k_j``, each node segment
+    ``[k_prev, k)`` multiplies only the prefix of spots that keep it, so
+    no cell beyond a spot's cut is computed.
+    """
+    keep = np.searchsorted(v, cut, side="right")
+    order = np.argsort(-keep, kind="stable")
+    keep = keep[order]
+    ln_s = ln_s[order]
+    if rate is not None:
+        times = times[order]
+    acc = np.zeros((coef.shape[0], cut.size))
+    lo = 0
+    for hi in np.unique(keep[keep > 0]).tolist():
+        n_spots = int(np.count_nonzero(keep >= hi))
+        for b in range(0, n_spots, _SPOT_BLOCK):
+            e = min(b + _SPOT_BLOCK, n_spots)
+            expo = np.multiply.outer(z[lo:hi], ln_s[b:e])
+            if rate is not None:
+                expo += np.multiply.outer(rate[lo:hi], times[b:e])
+            acc[:, b:e] += (coef[:, lo:hi] @ np.exp(expo)).real
+        lo = hi
+    out = np.empty_like(acc)
+    out[:, order] = 2.0 * acc
+    return out
+
+
 def _line_rows(line: Line, s_grid, ln_s, terms, tol_abs, times):
     """One line's contribution to every row on the grid, each spot
     truncated at its own height with its oscillatory tail completed.
@@ -641,17 +683,9 @@ def _line_rows(line: Line, s_grid, ln_s, terms, tol_abs, times):
         v, w = numerics._nodes_from_edges(edges_)
         z = line.abscissa + 1j * v
         rows, rate = terms(z)
-        coef = rows * (w * line.density(z))
-        vals = np.empty((coef.shape[0], idx.size))
-        for lo in range(0, idx.size, _SPOT_BLOCK):
-            b = idx[lo:lo + _SPOT_BLOCK]
-            expo = np.multiply.outer(z, ln_s[b])
-            if rate is not None:
-                expo += np.multiply.outer(rate, times[b])
-            emat = np.exp(expo)
-            emat *= (v[:, None] <= cut[None, b])
-            vals[:, lo:lo + b.size] = 2.0 * np.real(coef @ emat)
-        return vals
+        return _kept_cell_sums(rows * (w * line.density(z)), z, rate, v,
+                               cut[idx], ln_s[idx],
+                               None if times is None else times[idx])
 
     vals = values_on(edges, np.arange(s_grid.size))
     # error probe: split every panel once at a few spots; the tail

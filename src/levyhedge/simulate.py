@@ -12,10 +12,11 @@ path is a deterministic function of (seed, path_index).
 
 Per-step hedge ratios and price levels are tabulated once on a log-spaced
 spot grid (refined geometrically around every strike so kinks and jumps
-of the terminal payoff are resolved) by the same transform quadrature
-that defines them, then linearly interpolated in the spot; the
-interpolation bias is orders of magnitude below the Monte Carlo noise the
-reports quantify.
+of the payoff are resolved) by the same transform quadrature that defines
+them, then linearly interpolated in the spot; the interpolation bias is
+orders of magnitude below the Monte Carlo noise the reports quantify.
+The terminal error settles against the payoff's closed form
+(``TransformMeasure.analytic``), never against a table of it.
 """
 
 from __future__ import annotations
@@ -71,8 +72,8 @@ class BacktestReport:
     squared errors divided by sqrt(n_paths).  ``table_error`` is the
     largest error estimate of the transform tables the strategy was
     interpolated from; ``clamped_paths`` counts the paths whose spot left
-    the tabulated grid at some date, terminal payoff included, where the
-    interpolation held the edge value.
+    the tabulated grid at some decision date, where the interpolation
+    held the edge value.
     """
 
     n_paths: int
@@ -140,17 +141,17 @@ def _spot_grid(model, payoff, S0, T, n_base=1400, n_sigma=8.0):
 
 def _discrete_weight(coeffs: hd.DiscreteHedgeCoefficients):
     """Weight rows of the N-date tables: xi_n for n = 1..N (weight
-    g h^(N-n), still to be divided by the spot), then H_n for n = 0..N
-    (weight h^(N-n)), the last being the payoff."""
+    g h^(N-n), still to be divided by the spot), then H_n for n = 0..N-1
+    (weight h^(N-n)).  The payoff itself is taken in closed form."""
     N = coeffs.N
 
     def weight(z):
         _, _, g, h = coeffs.moment_terms(z)
-        powers = np.empty((N + 1,) + np.shape(h), dtype=complex)
+        powers = np.empty((N,) + np.shape(h), dtype=complex)
         powers[0] = 1.0
-        for k in range(N):
+        for k in range(N - 1):
             powers[k + 1] = powers[k] * h
-        return np.concatenate((g * powers[N - 1::-1], powers[::-1]))
+        return np.concatenate((g * powers[::-1], h * powers[::-1]))
 
     return weight
 
@@ -167,20 +168,26 @@ def _continuous_weight(coeffs: hc.ContinuousHedgeCoefficients, taus):
     return weight
 
 
-def _check_backtest(model, n_paths: int) -> None:
-    # before any quadrature: a model without a sampler fails at once
+def _check_backtest(model, payoff, n_paths: int) -> None:
+    # before any quadrature: a model without a sampler, or a payoff
+    # without a closed form to settle the paths with, fails at once
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
+    if payoff.analytic is None:
+        raise ValueError("backtests need the payoff's closed form "
+                         "(TransformMeasure.analytic)")
     mdl._require_sampler(model)
 
 
 def _run_paths(model, S0, dt, n_paths, seed, antithetic, s_grid, xi_tab,
-               h_tab, capital, lam, predicted, table_error) -> BacktestReport:
+               h_tab, payoff, capital, lam, predicted,
+               table_error) -> BacktestReport:
     """The Monte Carlo loop of both backtests.
 
     Row k of ``xi_tab`` and ``h_tab`` holds xi and H on the spot grid
-    before step k; the last row of ``h_tab`` is the payoff.  Errors are
-    aggregated per chunk, then compensated across chunks.
+    before step k; the terminal error settles against the payoff's closed
+    form.  Errors are aggregated per chunk, then compensated across
+    chunks.
     """
     steps = xi_tab.shape[0]
     sums = []
@@ -196,6 +203,8 @@ def _run_paths(model, S0, dt, n_paths, seed, antithetic, s_grid, xi_tab,
         s_hi = s_prev.copy()
         gains = np.zeros(n_rows)
         for k in range(steps):
+            np.minimum(s_lo, s_prev, out=s_lo)
+            np.maximum(s_hi, s_prev, out=s_hi)
             phi = np.interp(s_prev, s_grid, xi_tab[k])
             if lam != 0.0:
                 h_prev = np.interp(s_prev, s_grid, h_tab[k])
@@ -203,9 +212,7 @@ def _run_paths(model, S0, dt, n_paths, seed, antithetic, s_grid, xi_tab,
             s_next = s_prev * np.exp(dx[:, k])
             gains += phi * (s_next - s_prev)
             s_prev = s_next
-            np.minimum(s_lo, s_prev, out=s_lo)
-            np.maximum(s_hi, s_prev, out=s_hi)
-        err = capital + gains - np.interp(s_prev, s_grid, h_tab[steps])
+        err = capital + gains - payoff.analytic(s_prev)
         clamped += int(np.count_nonzero((s_lo < s_grid[0])
                                         | (s_hi > s_grid[-1])))
         sums.append((float(np.sum(err)), float(np.sum(err ** 2)),
@@ -229,19 +236,17 @@ def backtest_discrete(model, payoff, S0: float, T: float, N: int,
     the risk-minimizing strategy seeded with c instead (its squared-error
     mean is reported raw, still against the optimal-capital prediction).
     """
-    _check_backtest(model, n_paths)
+    _check_backtest(model, payoff, n_paths)
     coeffs = hd.coefficients(model, T, N)
     v0 = hd.initial_capital(coeffs, payoff, S0)
     cap = v0 if capital is None else float(capital)
     predicted = hd.error_variance(coeffs, payoff, S0)
 
     s_grid = _spot_grid(model, payoff, S0, T)
-    # one table pass for every step, its plan budgeted for the undamped
-    # terminal payoff, which dominates every damped interior weight
     rows, table_err = po.tabulate_transform(
         payoff, s_grid, _discrete_weight(coeffs), tol_abs=tol * (1.0 + S0))
     return _run_paths(model, S0, T / N, n_paths, seed, antithetic, s_grid,
-                      rows[:N] / s_grid, rows[N:], cap,
+                      rows[:N] / s_grid, rows[N:], payoff, cap,
                       coeffs.lambda_feedback, predicted, table_err)
 
 
@@ -256,23 +261,16 @@ def backtest_continuous_approx(model, payoff, S0: float, T: float, steps: int,
     as ``steps`` grows (additional discretization error on top of the
     inherent incompleteness).
     """
-    _check_backtest(model, n_paths)
+    _check_backtest(model, payoff, n_paths)
     coeffs = hc.coefficients_ct(model, T)
     v0 = hc.initial_capital_ct(coeffs, payoff, S0)
     predicted = hc.error_variance_ct(coeffs, payoff, S0)
     taus = T - np.linspace(0.0, T, steps + 1)[:-1]
 
     s_grid = _spot_grid(model, payoff, S0, T)
-    tol_abs = tol * (1.0 + S0)
-    # the decision-time rows are damped and share a capped plan; the
-    # undamped payoff gets a plan of its own
-    rows, rows_err = po.tabulate_transform(payoff, s_grid,
-                                           _continuous_weight(coeffs, taus),
-                                           tol_abs=tol_abs)
-    h_term, term_err = po.tabulate_transform(payoff, s_grid, None,
-                                             tol_abs=tol_abs)
+    rows, table_err = po.tabulate_transform(
+        payoff, s_grid, _continuous_weight(coeffs, taus),
+        tol_abs=tol * (1.0 + S0))
     return _run_paths(model, S0, T / steps, n_paths, seed, antithetic,
-                      s_grid, rows[:steps] / s_grid,
-                      np.vstack((rows[steps:], h_term)), v0,
-                      coeffs.lambda_feedback, predicted,
-                      max(rows_err, term_err))
+                      s_grid, rows[:steps] / s_grid, rows[steps:], payoff,
+                      v0, coeffs.lambda_feedback, predicted, table_err)

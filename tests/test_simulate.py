@@ -179,6 +179,38 @@ def test_backtest_reports_clamped_paths(mode, monkeypatch):
     assert 0 < narrow.clamped_paths <= narrow.n_paths
 
 
+def test_backtest_settles_against_the_closed_form_payoff():
+    # one date: the terminal error is V0 + xi_1 (S_1 - S_0) - 1{S_1 > K}
+    # on the backtest's own draws, with no table of the payoff in it
+    K, S0, T, n_paths, seed = 100.41, 100.0, 0.25, sim.CHUNK_PATHS, 7
+    payoff = lh.digital(K)
+    rep = backtest_discrete(MERTON, payoff, S0, T, 1, n_paths, seed)
+    xi1 = lh.xi(lh.coefficients(MERTON, T, 1), payoff, S0, 1)
+    dx = mdl.sample_increments(MERTON, T, sim._chunk_rng(seed, 0),
+                               size=(n_paths, 1))
+    s1 = S0 * np.exp(dx[:, 0])
+    err = rep.capital_used + xi1 * (s1 - S0) - (s1 > K)
+    assert rep.empirical_error_variance == pytest.approx(np.mean(err ** 2),
+                                                         rel=1e-6)
+
+
+def test_backtests_need_a_closed_form_payoff(monkeypatch):
+    from levyhedge import hedge_continuous as hc
+    from levyhedge import hedge_discrete as hd
+
+    def quadrature(*args, **kwargs):
+        raise AssertionError("quadrature ran for a payoff without closed form")
+
+    for mod, name in ((hd, "initial_capital"), (hd, "error_variance"),
+                      (hc, "initial_capital_ct"), (hc, "error_variance_ct")):
+        monkeypatch.setattr(mod, name, quadrature)
+    bare = TransformMeasure(lh.call(99.0).components, 1.5, 1.5)
+    with pytest.raises(ValueError, match="closed form"):
+        backtest_discrete(NIG_FIT, bare, 100.0, 0.25, 1, 100, seed=1)
+    with pytest.raises(ValueError, match="closed form"):
+        backtest_continuous_approx(NIG_FIT, bare, 100.0, 0.25, 4, 100, seed=1)
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "the xi rows nearest expiry (weights g and gamma e^(eta tau), barely "
     "damped) miss the table tolerance far out of the money: their "
