@@ -29,7 +29,6 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 import numpy as np
 
 import levyhedge as lh
-from levyhedge import hedge_continuous as hc, hedge_discrete as hd
 
 NIG = lh.NIG(alpha=75.49, beta=-4.089, delta=3.024, mu=-0.04)
 STRIKE = 99.0
@@ -53,9 +52,9 @@ def main(outdir="figure_data"):
     bench = lh.gaussian_benchmark(NIG)
     print(f"Gaussian benchmark: mu={bench.mu:.6f} sigma={bench.sigma:.6f}")
 
-    co_ct = hc.coefficients_ct(NIG, MATURITY)
-    co_d = hd.coefficients(NIG, MATURITY, WEEKLY)
-    co_bct = hc.coefficients_ct(bench, MATURITY)
+    co_ct = lh.coefficients_ct(NIG, MATURITY)
+    co_d = lh.coefficients(NIG, MATURITY, WEEKLY)
+    co_bct = lh.coefficients_ct(bench, MATURITY)
 
     t0 = time.time()
     spots = np.linspace(70.0, 130.0, 61)
@@ -63,15 +62,15 @@ def main(outdir="figure_data"):
     for s0 in spots:
         cap_rows.append([
             s0,
-            hc.initial_capital_ct(co_ct, payoff, s0),
-            hd.initial_capital(co_d, payoff, s0),
-            hc.initial_capital_ct(co_bct, payoff, s0),
+            lh.initial_capital_ct(co_ct, payoff, s0),
+            lh.initial_capital(co_d, payoff, s0),
+            lh.initial_capital_ct(co_bct, payoff, s0),
         ])
         hedge_rows.append([
             s0,
-            hc.xi_ct(co_ct, payoff, s0, 0.0),
-            hd.xi(co_d, payoff, s0, 1),
-            hc.xi_ct(co_bct, payoff, s0, 0.0),
+            lh.xi_ct(co_ct, payoff, s0, 0.0),
+            lh.xi(co_d, payoff, s0, 1),
+            lh.xi_ct(co_bct, payoff, s0, 0.0),
         ])
     write(out / "capital_vs_spot.csv",
           ["spot", "V0_nig_continuous", "V0_nig_12dates", "V0_gaussian"],
@@ -82,15 +81,15 @@ def main(outdir="figure_data"):
     print(f"spot sweeps: {time.time() - t0:.1f}s")
 
     t0 = time.time()
-    j0_ct = hc.error_variance_ct(co_ct, payoff, SPOT)
+    j0_ct = lh.error_variance_ct(co_ct, payoff, SPOT)
     err_rows = []
     for n in range(1, 64):
-        cd = hd.coefficients(NIG, MATURITY, n)
-        cb = hd.coefficients(bench, MATURITY, n)
+        cd = lh.coefficients(NIG, MATURITY, n)
+        cb = lh.coefficients(bench, MATURITY, n)
         err_rows.append([
             n,
-            hd.error_variance(cd, payoff, SPOT, tol=3e-5),
-            hd.error_variance(cb, payoff, SPOT, tol=3e-5),
+            lh.error_variance(cd, payoff, SPOT, tol=3e-5),
+            lh.error_variance(cb, payoff, SPOT, tol=3e-5),
             j0_ct,
         ])
     write(out / "error_vs_dates.csv",

@@ -52,31 +52,29 @@ from .payoffs import (
     put,
     self_quanto_call,
 )
-from .hedge_discrete import (
+from .hedge import (
+    ContinuousHedgeCoefficients,
     DiscreteHedgeCoefficients,
     DiscreteHedgeState,
     FixedCapitalStrategy,
+    ForbiddenJumpError,
+    GainsPathResult,
     NegativeCapitalWarning,
     NegativeVarianceError,
     coefficients,
-    error_variance,
-    initial_capital,
-    phi_step,
-    price_process,
-    risk_min_fixed_capital,
-    xi,
-)
-from .hedge_continuous import (
-    ContinuousHedgeCoefficients,
-    ForbiddenJumpError,
-    GainsPathResult,
     coefficients_ct,
+    error_variance,
     error_variance_ct,
     gains_explicit,
+    initial_capital,
     initial_capital_ct,
     mean_variance_tradeoff,
     phi_ct,
+    phi_step,
+    price_process,
     price_process_ct,
+    risk_min_fixed_capital,
+    xi,
     xi_ct,
 )
 from .simulate import (

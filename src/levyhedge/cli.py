@@ -24,8 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import hedge_continuous as hc
-from . import hedge_discrete as hd
+from . import hedge as hg
 from . import models as mdl
 from . import payoffs as po
 from . import simulate as sim
@@ -264,8 +263,8 @@ def _emit(records, columns, cfg: RunConfig):
 
 def _coeffs(cfg: RunConfig):
     if cfg.mode == "discrete":
-        return hd.coefficients(cfg.model, cfg.maturity, cfg.steps)
-    return hc.coefficients_ct(cfg.model, cfg.maturity)
+        return hg.coefficients(cfg.model, cfg.maturity, cfg.steps)
+    return hg.coefficients_ct(cfg.model, cfg.maturity)
 
 
 def _check_admissible(cfg: RunConfig) -> bool:
@@ -285,11 +284,8 @@ def cmd_price(cfg: RunConfig) -> int:
         return 1
     with warnings.catch_warnings(record=True) as wlist:
         warnings.simplefilter("always")
-        co = _coeffs(cfg)
-        if cfg.mode == "discrete":
-            v0 = hd.initial_capital(co, cfg.payoff, cfg.spot, tol=cfg.tol * 1e-3)
-        else:
-            v0 = hc.initial_capital_ct(co, cfg.payoff, cfg.spot, tol=cfg.tol * 1e-3)
+        v0 = hg.initial_capital(_coeffs(cfg), cfg.payoff, cfg.spot,
+                                tol=cfg.tol * 1e-3)
     if any(issubclass(w.category, po.QuadratureWarning) for w in wlist):
         print("numerical failure: quadrature budget exhausted", file=sys.stderr)
         return 2
@@ -308,14 +304,14 @@ def cmd_hedge(cfg: RunConfig, spot: float, when: float, wealth_gap: float) -> in
         return 1
     co = _coeffs(cfg)
     if cfg.mode == "discrete":
-        n = int(when) if when is not None else 1
-        xi_v = hd.xi(co, cfg.payoff, spot, n, tol=cfg.tol * 1e-3)
-        lam = co.lambda_feedback
+        n = when if when is not None else 1
+        if not float(n).is_integer():
+            raise ConfigError("--step", f"a trading date is an integer, got {n}")
+        xi_v = hg.xi(co, cfg.payoff, spot, int(n), tol=cfg.tol * 1e-3)
     else:
         t = float(when) if when is not None else 0.0
-        xi_v = hc.xi_ct(co, cfg.payoff, spot, t, tol=cfg.tol * 1e-3)
-        lam = co.lambda_feedback
-    phi = xi_v + lam / spot * wealth_gap
+        xi_v = hg.xi_ct(co, cfg.payoff, spot, t, tol=cfg.tol * 1e-3)
+    phi = xi_v + co.lambda_feedback / spot * wealth_gap
     _emit([{"spot": spot, "xi": xi_v, "phi": phi, "wealth_gap": wealth_gap}],
           ["spot", "xi", "phi", "wealth_gap"], cfg)
     return 0
@@ -325,19 +321,10 @@ def cmd_error(cfg: RunConfig) -> int:
     if not _check_admissible(cfg):
         print("inadmissible payoff/model pair", file=sys.stderr)
         return 1
-    co = _coeffs(cfg)
-    try:
-        with warnings.catch_warnings(record=True) as wlist:
-            warnings.simplefilter("always")
-            if cfg.mode == "discrete":
-                j0, res = hd.error_variance(co, cfg.payoff, cfg.spot,
-                                            tol=cfg.tol, return_result=True)
-            else:
-                j0, res = hc.error_variance_ct(co, cfg.payoff, cfg.spot,
-                                               tol=cfg.tol, return_result=True)
-    except hd.NegativeVarianceError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings(record=True) as wlist:
+        warnings.simplefilter("always")
+        j0, res = hg.error_variance(_coeffs(cfg), cfg.payoff, cfg.spot,
+                                    tol=cfg.tol, return_result=True)
     if any(issubclass(w.category, po.QuadratureWarning) for w in wlist):
         print("numerical failure: quadrature budget exhausted", file=sys.stderr)
         return 2
@@ -404,39 +391,39 @@ def cmd_sweep(cfg: RunConfig, axis: str, grid_spec: str) -> int:
     grid = _parse_grid(grid_spec, integer=(axis == "trading_dates"))
     records = []
     bench = mdl.gaussian_benchmark(cfg.model)
-    co_ct = hc.coefficients_ct(cfg.model, cfg.maturity)
+    co_ct = hg.coefficients_ct(cfg.model, cfg.maturity)
     if axis == "spot":
-        co_d = hd.coefficients(cfg.model, cfg.maturity, cfg.steps)
-        co_b = hd.coefficients(bench, cfg.maturity, cfg.steps)
+        co_d = hg.coefficients(cfg.model, cfg.maturity, cfg.steps)
+        co_b = hg.coefficients(bench, cfg.maturity, cfg.steps)
         for s0 in grid:
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore", hd.NegativeCapitalWarning)
+                warnings.simplefilter("ignore", hg.NegativeCapitalWarning)
                 records.append({
                     "axis_value": float(s0),
-                    "V0": hd.initial_capital(co_d, cfg.payoff, s0),
-                    "xi0": hd.xi(co_d, cfg.payoff, s0, 1),
-                    "J0_discrete": hd.error_variance(co_d, cfg.payoff, s0,
+                    "V0": hg.initial_capital(co_d, cfg.payoff, s0),
+                    "xi0": hg.xi(co_d, cfg.payoff, s0, 1),
+                    "J0_discrete": hg.error_variance(co_d, cfg.payoff, s0,
                                                      tol=cfg.tol),
-                    "J0_continuous": hc.error_variance_ct(co_ct, cfg.payoff,
+                    "J0_continuous": hg.error_variance_ct(co_ct, cfg.payoff,
                                                           s0, tol=cfg.tol),
-                    "J0_gaussian_benchmark": hd.error_variance(
+                    "J0_gaussian_benchmark": hg.error_variance(
                         co_b, cfg.payoff, s0, tol=cfg.tol),
                 })
     elif axis == "trading_dates":
-        j0_ct = hc.error_variance_ct(co_ct, cfg.payoff, cfg.spot, tol=cfg.tol)
+        j0_ct = hg.error_variance_ct(co_ct, cfg.payoff, cfg.spot, tol=cfg.tol)
         for n in grid:
-            co_d = hd.coefficients(cfg.model, cfg.maturity, int(n))
-            co_b = hd.coefficients(bench, cfg.maturity, int(n))
+            co_d = hg.coefficients(cfg.model, cfg.maturity, int(n))
+            co_b = hg.coefficients(bench, cfg.maturity, int(n))
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore", hd.NegativeCapitalWarning)
+                warnings.simplefilter("ignore", hg.NegativeCapitalWarning)
                 records.append({
                     "axis_value": int(n),
-                    "V0": hd.initial_capital(co_d, cfg.payoff, cfg.spot),
-                    "xi0": hd.xi(co_d, cfg.payoff, cfg.spot, 1),
-                    "J0_discrete": hd.error_variance(co_d, cfg.payoff,
+                    "V0": hg.initial_capital(co_d, cfg.payoff, cfg.spot),
+                    "xi0": hg.xi(co_d, cfg.payoff, cfg.spot, 1),
+                    "J0_discrete": hg.error_variance(co_d, cfg.payoff,
                                                      cfg.spot, tol=cfg.tol),
                     "J0_continuous": j0_ct,
-                    "J0_gaussian_benchmark": hd.error_variance(
+                    "J0_gaussian_benchmark": hg.error_variance(
                         co_b, cfg.payoff, cfg.spot, tol=cfg.tol),
                 })
     else:
@@ -573,7 +560,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
-    except hd.NegativeVarianceError as exc:
+    except hg.NegativeVarianceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

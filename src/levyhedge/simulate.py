@@ -27,8 +27,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from . import hedge_continuous as hc
-from . import hedge_discrete as hd
+from . import hedge as hg
 from . import models as mdl
 from . import payoffs as po
 
@@ -139,7 +138,7 @@ def _spot_grid(model, payoff, S0, T, n_base=1400, n_sigma=8.0):
     return np.exp(grid)
 
 
-def _discrete_weight(coeffs: hd.DiscreteHedgeCoefficients):
+def _discrete_weight(coeffs: hg.DiscreteHedgeCoefficients):
     """Weight rows of the N-date tables: xi_n for n = 1..N (weight
     g h^(N-n), still to be divided by the spot), then H_n for n = 0..N-1
     (weight h^(N-n)).  The payoff itself is taken in closed form."""
@@ -156,7 +155,7 @@ def _discrete_weight(coeffs: hd.DiscreteHedgeCoefficients):
     return weight
 
 
-def _continuous_weight(coeffs: hc.ContinuousHedgeCoefficients, taus):
+def _continuous_weight(coeffs: hg.ContinuousHedgeCoefficients, taus):
     """Weight rows of the continuous-time tables at times to expiry
     ``taus``: xi (weight gamma e^(eta tau), still to be divided by the
     spot), then H (weight e^(eta tau))."""
@@ -179,17 +178,29 @@ def _check_backtest(model, payoff, n_paths: int) -> None:
     mdl._require_sampler(model)
 
 
-def _run_paths(model, S0, dt, n_paths, seed, antithetic, s_grid, xi_tab,
-               h_tab, payoff, capital, lam, predicted,
-               table_error) -> BacktestReport:
-    """The Monte Carlo loop of both backtests.
+def _backtest(coeffs, weight, steps: int, payoff, S0: float, n_paths: int,
+              seed: int, capital: Optional[float], antithetic: bool,
+              tol: float) -> BacktestReport:
+    """The body of both backtests, for either time kernel.
 
-    Row k of ``xi_tab`` and ``h_tab`` holds xi and H on the spot grid
-    before step k; the terminal error settles against the payoff's closed
-    form.  Errors are aggregated per chunk, then compensated across
-    chunks.
+    ``weight`` gives the table rows: xi before each of the ``steps``
+    rebalancing steps (still to be divided by the spot), then H at the
+    same times.  Row k of the xi and H tables holds their values on the
+    spot grid before step k; the terminal error settles against the
+    payoff's closed form.  Errors are aggregated per chunk, then
+    compensated across chunks.
     """
-    steps = xi_tab.shape[0]
+    model = coeffs.model
+    v0 = hg.initial_capital(coeffs, payoff, S0)
+    capital = v0 if capital is None else float(capital)
+    predicted = hg.error_variance(coeffs, payoff, S0)
+
+    s_grid = _spot_grid(model, payoff, S0, coeffs.T)
+    rows, table_error = po.tabulate_transform(payoff, s_grid, weight,
+                                              tol_abs=tol * (1.0 + S0))
+    xi_tab, h_tab = rows[:steps] / s_grid, rows[steps:]
+    dt = coeffs.T / steps
+    lam = coeffs.lambda_feedback
     sums = []
     clamped = 0
     for chunk_index, first in enumerate(range(0, n_paths, CHUNK_PATHS)):
@@ -237,17 +248,9 @@ def backtest_discrete(model, payoff, S0: float, T: float, N: int,
     mean is reported raw, still against the optimal-capital prediction).
     """
     _check_backtest(model, payoff, n_paths)
-    coeffs = hd.coefficients(model, T, N)
-    v0 = hd.initial_capital(coeffs, payoff, S0)
-    cap = v0 if capital is None else float(capital)
-    predicted = hd.error_variance(coeffs, payoff, S0)
-
-    s_grid = _spot_grid(model, payoff, S0, T)
-    rows, table_err = po.tabulate_transform(
-        payoff, s_grid, _discrete_weight(coeffs), tol_abs=tol * (1.0 + S0))
-    return _run_paths(model, S0, T / N, n_paths, seed, antithetic, s_grid,
-                      rows[:N] / s_grid, rows[N:], payoff, cap,
-                      coeffs.lambda_feedback, predicted, table_err)
+    coeffs = hg.coefficients(model, T, N)
+    return _backtest(coeffs, _discrete_weight(coeffs), N, payoff, S0,
+                     n_paths, seed, capital, antithetic, tol)
 
 
 def backtest_continuous_approx(model, payoff, S0: float, T: float, steps: int,
@@ -262,15 +265,7 @@ def backtest_continuous_approx(model, payoff, S0: float, T: float, steps: int,
     inherent incompleteness).
     """
     _check_backtest(model, payoff, n_paths)
-    coeffs = hc.coefficients_ct(model, T)
-    v0 = hc.initial_capital_ct(coeffs, payoff, S0)
-    predicted = hc.error_variance_ct(coeffs, payoff, S0)
+    coeffs = hg.coefficients_ct(model, T)
     taus = T - np.linspace(0.0, T, steps + 1)[:-1]
-
-    s_grid = _spot_grid(model, payoff, S0, T)
-    rows, table_err = po.tabulate_transform(
-        payoff, s_grid, _continuous_weight(coeffs, taus),
-        tol_abs=tol * (1.0 + S0))
-    return _run_paths(model, S0, T / steps, n_paths, seed, antithetic,
-                      s_grid, rows[:steps] / s_grid, rows[steps:], payoff,
-                      v0, coeffs.lambda_feedback, predicted, table_err)
+    return _backtest(coeffs, _continuous_weight(coeffs, taus), steps, payoff,
+                     S0, n_paths, seed, None, antithetic, tol)

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import levyhedge as lh
-from levyhedge import hedge_continuous as hc
-from levyhedge import hedge_discrete as hd
+from levyhedge import hedge as hc
+from levyhedge import hedge as hd
 from levyhedge import models as mdl
 from levyhedge.simulate import backtest_discrete
 

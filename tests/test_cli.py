@@ -4,6 +4,8 @@ import pathlib
 import pytest
 
 from levyhedge import cli
+from levyhedge import payoffs as po
+from levyhedge.numerics import QuadratureResult
 
 
 NIG_CFG = """
@@ -90,6 +92,20 @@ def test_hedge_command(cfg_path, capsys):
     phi2 = float(out.strip().splitlines()[1].split(",")[2])
     assert phi2 != phi
 
+
+def test_hedge_step_must_be_a_trading_date(capsys):
+    cfg = str(pathlib.Path(__file__).resolve().parents[1]
+              / "scripts" / "nig_weekly.cfg")
+    rc, out, err = run(capsys, "--config", cfg, "hedge", "--spot", "100",
+                       "--step", "2.7")
+    assert rc == 1
+    assert out == ""
+    assert "validation error" in err and "--step" in err
+    # continuous time takes a fractional time as it is
+    rc, out, _ = run(capsys, "--config", cfg, "hedge", "--spot", "100",
+                     "--step", "0.1", "--hedge.mode", "continuous")
+    assert rc == 0
+    assert out.startswith("spot,xi,phi,wealth_gap")
 
 def test_error_command(cfg_path, capsys):
     rc, out, _ = run(capsys, "--config", cfg_path, "error")
@@ -224,3 +240,14 @@ def test_inadmissible_pair_exit_code(capsys):
         "--payoff.power", "2", "--hedge.mode", "continuous")
     assert rc == 1
     assert "inadmissible" in err
+
+
+@pytest.mark.parametrize("mode", ["discrete", "continuous"])
+def test_negative_variance_exit_code(cfg_path, capsys, monkeypatch, mode):
+    monkeypatch.setattr(po, "double_integrate_measure",
+                        lambda *a, **k: QuadratureResult(-1.0 + 0j, 0.0, 1))
+    rc, out, err = run(capsys, "--config", cfg_path, "error",
+                       "--hedge.mode", mode)
+    assert rc == 2
+    assert out == ""
+    assert "numerical failure" in err

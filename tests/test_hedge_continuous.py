@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import levyhedge as lh
-from levyhedge import hedge_continuous as hc
+from levyhedge import hedge as hc
 from levyhedge import models as mdl
 from levyhedge.payoffs import PointMass, TransformMeasure
 from levyhedge.simulate import PathGrid

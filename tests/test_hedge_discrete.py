@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import levyhedge as lh
-from levyhedge import hedge_discrete as hd
+from levyhedge import hedge as hd
 from levyhedge import models as mdl
+from levyhedge import payoffs as po
+from levyhedge.numerics import QuadratureResult
 from levyhedge.payoffs import PointMass, TransformMeasure
 
 NIG_FIT = lh.NIG(alpha=75.49, beta=-4.089, delta=3.024, mu=-0.04)
@@ -281,3 +283,25 @@ def test_log_contract_error_variance_independent_of_spot():
     j100, r100 = lh.error_variance(co, payoff, 100.0, return_result=True)
     assert r1.converged and r100.converged
     assert j100 == pytest.approx(j1, rel=1e-3)
+
+
+@pytest.mark.parametrize("kernel", ["discrete", "continuous"])
+def test_error_variance_clamp_and_negative_variance_error(kernel,
+                                                          monkeypatch):
+    if kernel == "discrete":
+        co, j0 = lh.coefficients(NIG_FIT, 0.25, 12), lh.error_variance
+    else:
+        co, j0 = lh.coefficients_ct(NIG_FIT, 0.25), lh.error_variance_ct
+
+    def integral_gives(value):
+        monkeypatch.setattr(po, "double_integrate_measure",
+                            lambda *a, **k: QuadratureResult(value + 0j, 0.0, 1))
+
+    # a rounding-sized negative is clamped, down to -1e-8 * max(1, S0)^2
+    integral_gives(-1e-9)
+    assert j0(co, lh.call(99.0), 100.0) == 0.0
+    integral_gives(-9e-9)
+    assert j0(co, lh.call(0.5), 0.5) == 0.0
+    integral_gives(-1e-3)
+    with pytest.raises(lh.NegativeVarianceError):
+        j0(co, lh.call(99.0), 100.0)

@@ -87,7 +87,7 @@ def test_backtest_call_within_three_sigma(model, n_dates):
 def test_backtest_engine_matches_stepping_protocol():
     # the vectorized table-driven engine and the scalar online recursion
     # are the same strategy; chunk seeding makes their paths identical
-    from levyhedge import hedge_discrete as hd
+    from levyhedge import hedge as hd
 
     model, S0, T, N, seed = NIG_FIT, 100.0, 0.25, 4, 61
     payoff = lh.call(99.0)
@@ -140,8 +140,8 @@ def test_antithetic_runs_and_reproduces():
 
 def test_backtests_reject_a_model_without_sampler_before_quadrature(
         monkeypatch):
-    from levyhedge import hedge_continuous as hc
-    from levyhedge import hedge_discrete as hd
+    from levyhedge import hedge as hc
+    from levyhedge import hedge as hd
 
     def quadrature(*args, **kwargs):
         raise AssertionError("error variance computed for an unsampled model")
@@ -195,8 +195,8 @@ def test_backtest_settles_against_the_closed_form_payoff():
 
 
 def test_backtests_need_a_closed_form_payoff(monkeypatch):
-    from levyhedge import hedge_continuous as hc
-    from levyhedge import hedge_discrete as hd
+    from levyhedge import hedge as hc
+    from levyhedge import hedge as hd
 
     def quadrature(*args, **kwargs):
         raise AssertionError("quadrature ran for a payoff without closed form")
