@@ -237,8 +237,9 @@ class DiscreteHedgeCoefficients:
         return out
 
     @staticmethod
-    def _geometric_ratio(a, a_pow, m, log_m, n: int):
-        """(a^n - m^n)/(a - m) cell by cell, given ``a_pow`` = a^n.
+    def _geometric_ratio(a, a_pow, m, m_pow, log_m, n: int):
+        """(a^n - m^n)/(a - m) cell by cell, given ``a_pow`` = a^n and
+        ``m_pow`` = m^n = exp(n log_m).
 
         The direct quotient holds wherever a and m are apart; cells within
         1e-3 of the degeneracy a == m, or where the quotient is not finite,
@@ -248,7 +249,7 @@ class DiscreteHedgeCoefficients:
             return np.ones(np.shape(m), dtype=complex)
         d = a - m
         with np.errstate(all="ignore"):
-            out = (a_pow - np.exp(n * log_m)) / d
+            out = (a_pow - m_pow) / d
             near = ~(np.abs(d) >= 1e-3 * np.abs(m)) | ~np.isfinite(out)
         if near.any():
             out[near] = DiscreteHedgeCoefficients._geometric_sum(
@@ -271,16 +272,21 @@ class DiscreteHedgeCoefficients:
             return (np.exp(zn * ln_s0), mz, mz1, m2 * mz, m1 * mz1, m1 * mz,
                     root, root ** N)
 
-        def pair(ydat, zdat, ysum):
+        # everything that depends on y + z alone: log m, m and m^N
+        def along_sum(s):
+            log_m = mdl.cumulant(model, s) * dt
+            return log_m, np.exp(log_m), np.exp(N * log_m)
+
+        def pair(ydat, zdat, sdat):
             s0y, _, my1, m2_my, m1_my1, m1_my, ay, ay_n = ydat
             s0z, mz, mz1, _, _, _, az, az_n = zdat
-            log_m = mdl.cumulant(model, ysum) * dt
-            myz = np.exp(log_m)
+            log_m, myz, myz_n = sdat
             b = myz - (m2_my * mz - m1_my1 * mz - m1_my * mz1 + my1 * mz1) / var1
-            geo = self._geometric_ratio(ay * az, ay_n * az_n, myz, log_m, N)
+            geo = self._geometric_ratio(ay * az, ay_n * az_n, myz, myz_n,
+                                        log_m, N)
             return (s0y * s0z) * b * geo
 
-        return po.PairKernel(axis_data, axis_data, pair)
+        return po.PairKernel(axis_data, axis_data, along_sum, pair)
 
 
 @dataclass(frozen=True)
@@ -374,14 +380,18 @@ class ContinuousHedgeCoefficients:
             k, gt, _, eta = self.cumulant_terms(zn)
             return np.exp(zn * ln_s0), k, gt, eta, np.exp((eta - 0.5 * rate) * T)
 
-        def pair(ydat, zdat, ysum):
+        # everything that depends on y + z alone: kappa and e^{kappa T}
+        def along_sum(s):
+            kyz = mdl.cumulant(model, s)
+            return kyz, np.exp(kyz * T)
+
+        def pair(ydat, zdat, sdat):
             s0y, ky, gty, eta_y, ey = ydat
             s0z, kz, gtz, eta_z, ez = zdat
-            kyz = mdl.cumulant(model, ysum)
+            kyz, e_k = sdat
             beta = kyz - ky - kz - gty * gtz / den
             # T (e^{alpha T} - e^{kappa T}) / w with w = (alpha - kappa) T
             d = eta_y + eta_z - rate - kyz
-            e_k = np.exp(kyz * T)
             with np.errstate(all="ignore"):
                 quot = (ey * ez - e_k) / d
             w = d * T
@@ -391,7 +401,7 @@ class ContinuousHedgeCoefficients:
                 quot[near] = T * e_k[near] * self._exp_diff_quotient(w[near])
             return (s0y * s0z) * beta * quot
 
-        return po.PairKernel(axis_data, axis_data, pair)
+        return po.PairKernel(axis_data, axis_data, along_sum, pair)
 
 
 _geometric_sum = DiscreteHedgeCoefficients._geometric_sum
@@ -449,7 +459,12 @@ def _quote(coeffs, payoff: po.TransformMeasure, spot: float, when,
     """H (or, with ``ratio``, xi) at date or time ``when`` and ``spot``."""
     weight = coeffs._quote_weight(when, ratio)
     _admissible_or_raise(coeffs, payoff)
-    res = po.integrate_measure(payoff, spot, weight, tol_abs=tol * (1.0 + spot))
+    res = po.integrate_measure(payoff, spot, weight, tol_abs=tol * (1.0 + spot),
+                               warn=False)
+    if not res.converged:
+        # at the caller of the public quote function
+        warnings.warn("quadrature tolerance not met; result is flagged",
+                      po.QuadratureWarning, stacklevel=3)
     value = float(res.value.real)
     return value / spot if ratio else value
 
@@ -514,7 +529,10 @@ def error_variance(coeffs: DiscreteHedgeCoefficients | ContinuousHedgeCoefficien
         res = QuadratureResult(0.0 + 0j, 0.0, 3, True)
     else:
         res = po.double_integrate_measure(payoff, kernel,
-                                          tol_abs=tol * (1.0 + S0))
+                                          tol_abs=tol * (1.0 + S0), warn=False)
+        if not res.converged:
+            warnings.warn("double quadrature tolerance not met; result flagged",
+                          po.QuadratureWarning, stacklevel=2)
     value = float(res.value.real)
     if value < -1e-8 * max(1.0, S0) ** 2:
         raise NegativeVarianceError(
@@ -564,8 +582,8 @@ def phi_step(coeffs: DiscreteHedgeCoefficients, payoff: po.TransformMeasure,
     if state.prev_phi is not None:
         gains += state.prev_phi * (S_prev - state.prev_spot)
     n = state.step
-    xi_n = xi(coeffs, payoff, S_prev, n, tol=tol)
-    h_prev = price_process(coeffs, payoff, S_prev, n - 1, tol=tol)
+    xi_n = _quote(coeffs, payoff, S_prev, n, True, tol)
+    h_prev = _quote(coeffs, payoff, S_prev, n - 1, False, tol)
     gap = h_prev - state.capital - gains
     phi_n = xi_n + coeffs.lambda_feedback / S_prev * gap
     new_state = DiscreteHedgeState(step=n + 1, capital=state.capital,
@@ -608,7 +626,7 @@ def phi_ct(coeffs: ContinuousHedgeCoefficients, payoff: po.TransformMeasure,
            S_tminus: float, t: float, wealth_gap: float, *,
            tol: float = 1e-8) -> float:
     """phi_t given the caller-tracked wealth gap H_t- - V0 - G_t-."""
-    base = xi_ct(coeffs, payoff, S_tminus, t, tol=tol)
+    base = _quote(coeffs, payoff, S_tminus, t, True, tol)
     return base + coeffs.lambda_feedback / S_tminus * wealth_gap
 
 

@@ -299,9 +299,7 @@ def cumulant(model: LevyModelSpec, z):
     elif isinstance(model, NIG):
         a2 = model.alpha ** 2
         g0 = math.sqrt(a2 - model.beta ** 2)
-        out = model.mu * zz + model.delta * (g0 - np.sqrt((a2 - (model.beta + zz) ** 2)
-                                                          .astype(complex) if not scalar
-                                                          else complex(a2 - (model.beta + zz) ** 2)))
+        out = model.mu * zz + model.delta * (g0 - np.sqrt(a2 - (model.beta + zz) ** 2))
     elif isinstance(model, VG):
         # alpha - beta z - z^2/2 stays in the right half-plane on the strip,
         # so the principal log is already branch-continuous along contours.

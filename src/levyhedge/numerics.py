@@ -573,42 +573,113 @@ def _nodes_from_edges(edges: np.ndarray):
     return v, w
 
 
-_TILE_ROWS = 32   # rows of the folded axis per broadcast tile
+_TILE_ROWS = 16   # rows of the folded axis per broadcast tile
+# tiles per band of one set of sum-line tables: a band's classes share
+# most of their sums already, and its tables stay a few MB
+_BAND_TILES = 8
 
 
 def _pair_protocol(kernel):
-    """``(axis_y, axis_z, pair)`` of a kernel.
+    """``(axis_y, axis_z, along_sum, pair)`` of a kernel.
 
     Structured kernels (see ``payoffs.PairKernel``) bring their own; a
-    plain callable ``kernel(y, z)`` gets the nodes as its only axis data
-    and is called on the broadcast tile.
+    plain callable ``kernel(y, z)`` gets the nodes as its only axis data,
+    no sum data (``along_sum`` is None), and is called on the broadcast
+    tile.
     """
     if hasattr(kernel, "pair") and hasattr(kernel, "axis_y"):
-        return kernel.axis_y, kernel.axis_z, kernel.pair
+        return kernel.axis_y, kernel.axis_z, kernel.along_sum, kernel.pair
 
     def axis(nodes):
         return (nodes,)
 
-    def pair(ydat, zdat, ysum):
+    def pair(ydat, zdat, sdat):
         return kernel(*np.broadcast_arrays(ydat[0], zdat[0]))
 
-    return axis, axis, pair
+    return axis, axis, None, pair
+
+
+def _pair_classes(mid_y, half_y, mid_z, half_z, p, q, quantum):
+    """Classes of the panel pairs ``(p[i], q[i])`` that share their node sums.
+
+    The sums of a pair are ``mid_p + mid_q + half_p x_k + half_q x_l``, so
+    pairs with equal halves and equal ``mid_p + mid_q`` share all of them.
+    Equality is taken on a grid of spacing ``quantum``: subdivided layouts
+    give equal panels' halves and midpoints that differ in their last bits.
+    ``half_*`` may be any fixed multiple of the half-widths.  Returns the
+    class of each pair and the index of each class's first pair.
+    """
+    key = np.zeros(p.size, dtype=np.int64)
+    for part in (mid_y[p] + mid_z[q], half_y[p], half_z[q]):
+        codes = np.unique(np.round(part / quantum), return_inverse=True)[1]
+        key = key * (int(codes.max()) + 1) + codes
+    _, first, cls = np.unique(key, return_index=True, return_inverse=True)
+    return cls, first
+
+
+def _sum_line_tables(along_sum, y_nodes, wy, z_nodes, wz, tiles):
+    """``along_sum(y + z)`` once per class of touched panel pairs.
+
+    The factors are evaluated on each class's first pair's own sums, in
+    chunks no larger than one tile.  Returns ``gather(lo, hi, cols)``, the
+    tuple of sum data on the tile of rows ``lo:hi`` and columns ``cols``.
+    """
+    n = _K15_NODES.size
+    k = n // 2   # the middle node: the panel midpoint, weight half * W_k
+    vy, vz = y_nodes.imag, z_nodes.imag
+    touched = np.zeros((vy.size // n, vz.size // n), dtype=bool)
+    for lo, hi, cols in tiles:
+        c0, c1, _ = cols.indices(vz.size)
+        touched[lo // n:(hi - 1) // n + 1, c0 // n:(c1 - 1) // n + 1] = True
+    p, q = np.nonzero(touched)
+    # a grid far below any panel width, far above the layout's rounding
+    quantum = 2.0 ** -40 * max(vy[-1], vz[-1])
+    cls, first = _pair_classes(vy[k::n], wy[k::n], vz[k::n], wz[k::n], p, q,
+                               quantum)
+    cls_base = np.zeros(touched.shape, dtype=np.intp)   # read where touched
+    cls_base[p, q] = cls * (n * n)
+    first_rows = (n * p[first])[:, None] + np.arange(n)
+    first_cols = (n * q[first])[:, None] + np.arange(n)
+    chunk = max(1, _TILE_ROWS * z_nodes.size // (n * n))
+    tables = ()
+    for i in range(0, first.size, chunk):
+        part = along_sum((y_nodes[first_rows[i:i + chunk]][:, :, None]
+                          + z_nodes[first_cols[i:i + chunk]][:, None, :])
+                         .ravel())
+        if not tables:
+            tables = tuple(np.empty(first.size * n * n, dtype=t.dtype)
+                           for t in part)
+        for t, x in zip(tables, part):
+            t[i * n * n:i * n * n + x.size] = x
+    row_panel, row_node = np.divmod(np.arange(vy.size), n)
+    col_panel, col_node = np.divmod(np.arange(vz.size), n)
+
+    def gather(lo, hi, cols):
+        idx = (cls_base[row_panel[lo:hi, None], col_panel[None, cols]]
+               + n * row_node[lo:hi, None] + col_node[None, cols])
+        return tuple(t[idx] for t in tables)
+
+    return gather
 
 
 def _tensor_value(kernel, Ry, Rz, vy, wy, vz, wz, symmetric: bool):
     """Tensor-product sum with conjugation folding, on broadcast tiles.
 
     ``vy`` lives on [0, c] (folded axis), ``vz`` on the full symmetric
-    range.  Conjugating both variables conjugates the kernel, so the
+    range; both come in 15-node Kronrod panels (``_nodes_from_edges``).
+    Conjugating both variables conjugates the kernel, so the
     integral equals twice the real part of the folded sum.  When
     ``symmetric`` and the contours coincide, only the fundamental domain
     ``|v_z| <= v_y`` of the joint conjugation/swap group is evaluated (a
     quarter of the plane), with multiplicity weights.  Axis data are
-    computed once per node; each tile of ``_TILE_ROWS`` rows passes
-    ``(r, 1)`` row views and ``(1, c)`` column views to the pair kernel
-    and is summed as ``w_rows @ Re(values) @ w_cols``.
+    computed once per node, and a structured kernel's sum data once per
+    band of ``_BAND_TILES`` tiles and class of panel pairs sharing their
+    node sums (``_sum_line_tables``).  Each tile of ``_TILE_ROWS`` rows
+    passes ``(r, 1)`` row views, ``(1, c)`` column views and the ``(r, c)``
+    gathered sum data to the pair kernel and is summed as
+    ``w_rows @ Re(values) @ w_cols``.
     """
-    axis_y, axis_z, pair = _pair_protocol(kernel)
+    axis_y, axis_z, along_sum, pair = _pair_protocol(kernel)
     if symmetric:
         vz, wz = vy, wy
     m = vy.size
@@ -622,28 +693,35 @@ def _tensor_value(kernel, Ry, Rz, vy, wy, vz, wz, symmetric: bool):
         ydat = tuple(d[m:] for d in zdat)
     else:
         ydat = axis_y(y_nodes)
-    total = 0.0
-    nev = 0
-    cols = slice(None)
+    tiles = []
     for lo in range(0, m, _TILE_ROWS):
         hi = min(lo + _TILE_ROWS, m)
-        if symmetric:
-            # columns [m-hi, m+hi) hold every |v_z| <= vy[hi-1]
-            cols = slice(m - hi, m + hi)
-            Y = vy[lo:hi, None]
-            A = np.abs(vz_full[cols])
-            mult = np.where(Y > A, 4.0, np.where(Y == A, 2.0, 0.0))
-        vals = pair(tuple(d[lo:hi, None] for d in ydat),
-                    tuple(d[None, cols] for d in zdat),
-                    y_nodes[lo:hi, None] + z_nodes[None, cols])
-        re = np.real(vals)
-        if symmetric:
-            re = re * mult
-            nev += int(np.count_nonzero(mult))
-        else:
-            re = 2.0 * re
-            nev += re.size
-        total += float(wy[lo:hi] @ re @ wz_full[cols])
+        # columns [m-hi, m+hi) hold every |v_z| <= vy[hi-1]
+        tiles.append((lo, hi, slice(m - hi, m + hi) if symmetric
+                      else slice(None)))
+    total = 0.0
+    nev = 0
+    for b in range(0, len(tiles), _BAND_TILES):
+        band = tiles[b:b + _BAND_TILES]
+        if along_sum is not None:
+            gather = _sum_line_tables(along_sum, y_nodes, wy, z_nodes,
+                                      wz_full, band)
+        for lo, hi, cols in band:
+            if symmetric:
+                Y = vy[lo:hi, None]
+                A = np.abs(vz_full[cols])
+                mult = np.where(Y > A, 4.0, np.where(Y == A, 2.0, 0.0))
+            vals = pair(tuple(d[lo:hi, None] for d in ydat),
+                        tuple(d[None, cols] for d in zdat),
+                        None if along_sum is None else gather(lo, hi, cols))
+            re = np.real(vals)
+            if symmetric:
+                re = re * mult
+                nev += int(np.count_nonzero(mult))
+            else:
+                re = 2.0 * re
+                nev += re.size
+            total += float(wy[lo:hi] @ re @ wz_full[cols])
     return total, nev
 
 

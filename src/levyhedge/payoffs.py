@@ -61,29 +61,37 @@ class PairKernel:
     """Structured kernel for tensor quadrature over two contours.
 
     Error-variance kernels depend on (y, z) only through per-axis
-    quantities and the joint argument y + z, so the tensor evaluator
-    computes per-node axis data once and runs a cheap combine on
-    broadcast tiles of node pairs.
+    quantities and through the joint argument ``s = y + z``, so the tensor
+    evaluator computes axis data once per node and sum data once per
+    distinct sum, and runs a cheap combine on broadcast tiles of node
+    pairs.  The four members:
 
-    ``axis_y`` / ``axis_z`` map a node array to a tuple of arrays of its
-    shape.  The first is a factor the kernel is linear in: ``pair``
-    multiplies ``ydat[0] * zdat[0]`` into its value, so a measure density
-    is folded into it on the axis.  ``pair(ydat, zdat, ysum)`` combines
-    axis data that broadcast against each other -- ``(r, 1)`` row and
-    ``(1, c)`` column views in the tensor evaluator, equal-shape 1-D
-    arrays elsewhere -- with ``ysum = y + z`` of the broadcast shape.
+    * ``axis_y`` / ``axis_z`` map a node array to a tuple of arrays of its
+      shape.  The first is a factor the kernel is linear in: ``pair``
+      multiplies ``ydat[0] * zdat[0]`` into its value, so a measure
+      density is folded into it on the axis.
+    * ``along_sum`` maps an array of sums ``s`` to a tuple of arrays of its
+      shape: the factors that depend on the pair through ``s`` alone
+      (``kappa(s)`` and its exponentials).
+    * ``pair(ydat, zdat, sdat)`` combines axis data that broadcast against
+      each other -- ``(r, 1)`` row and ``(1, c)`` column views in the
+      tensor evaluator, equal-shape 1-D arrays elsewhere -- with the sum
+      data ``sdat`` of the broadcast shape.
+
     Instances are also plain callables on broadcastable arrays, used by
     layout and tail probes.
     """
 
     axis_y: Callable
     axis_z: Callable
+    along_sum: Callable
     pair: Callable
 
     def __call__(self, y, z):
         y = np.atleast_1d(np.asarray(y, dtype=complex))
         z = np.atleast_1d(np.asarray(z, dtype=complex))
-        return np.asarray(self.pair(self.axis_y(y), self.axis_z(z), y + z))
+        return np.asarray(self.pair(self.axis_y(y), self.axis_z(z),
+                                    self.along_sum(y + z)))
 
 
 @dataclass(frozen=True)
@@ -837,7 +845,8 @@ def _far_ridge_integral(pair_kernel, Ry, Rz, c: float, tol_abs: float):
         def fu_pair(uu):
             n = uu.size
             z = Rz + 1j * (np.concatenate((uu, -uu)) - v)
-            vals = pair_kernel.pair(ydat, pair_kernel.axis_z(z), y + z)
+            vals = pair_kernel.pair(ydat, pair_kernel.axis_z(z),
+                                    pair_kernel.along_sum(y + z))
             return vals[:n] + vals[n:]
 
         U = 256.0
@@ -909,7 +918,8 @@ def double_integrate_measure(measure: TransformMeasure, kernel, *,
             factor = 1.0 if i == j else 2.0
             axis_i = with_density(kernel.axis_y, li)
             axis_j = axis_i if i == j else with_density(kernel.axis_z, lj)
-            pair_kernel = PairKernel(axis_i, axis_j, kernel.pair)
+            pair_kernel = PairKernel(axis_i, axis_j, kernel.along_sum,
+                                     kernel.pair)
             Ri, Rj = li.abscissa, lj.abscissa
 
             def along(dy, dz):

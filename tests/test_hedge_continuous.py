@@ -186,6 +186,31 @@ def test_hyperbolic_hedging_transform_only():
     assert 0.0 < lh.xi_ct(co, lh.call(99.0), 100.0, 0.0) < 1.0
 
 
+def test_hyperbolic_error_variance_pinned():
+    hyp = lh.Hyperbolic(alpha=8.0, beta=2.0, delta=1.5, mu=-0.3)
+    co = lh.coefficients_ct(hyp, 0.25)
+    j0, res = lh.error_variance_ct(co, lh.call(99.0), 100.0,
+                                   return_result=True)
+    assert abs(j0 - 22.749016598571306) <= 1e-12 * max(1.0, j0)
+    assert res.nodes_used == 2955750
+    assert res.converged
+
+
+def test_quadrature_warnings_name_the_caller():
+    # flagged quotes and error variances warn at the line that asked for
+    # them, not inside the engine
+    nig_co = lh.coefficients_ct(NIG_FIT, 0.25)
+    vg_co = lh.coefficients_ct(lh.VG(alpha=60.0, beta=-3.0, delta=5.0,
+                                     mu=0.01), 0.25)
+    for run in (lambda: lh.xi_ct(nig_co, lh.call(100.0), 95.1229, 0.2495),
+                lambda: lh.phi_ct(nig_co, lh.call(100.0), 95.1229, 0.2495, 0.0),
+                lambda: lh.error_variance_ct(vg_co, lh.self_quanto_call(100.0),
+                                             100.0)):
+        with pytest.warns(lh.QuadratureWarning) as caught:
+            run()
+        assert [w.filename for w in caught] == [__file__]
+
+
 # ---------------------------------------------------------------------------
 # explicit gains process
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ VG = lh.VG(alpha=60.0, beta=-3.0, delta=5.0, mu=0.01)
 # evaluator runs two tiles of rows
 EDGES_Y = np.array([0.0, 2.0, 7.0, 20.0, 60.0])
 EDGES_Z = np.array([0.0, 5.0, 25.0, 80.0])
+# evenly spaced panels: pairs on one antidiagonal share their node sums
+EVEN = np.linspace(0.0, 60.0, 7)
 
 
 def _direct_sum(kernel, Ry, Rz, vy, wy, vz, wz, symmetric):
@@ -43,9 +45,9 @@ def _direct_sum(kernel, Ry, Rz, vy, wy, vz, wz, symmetric):
     return float(np.sum(mult * wy[rows] * wz_full[cols] * np.real(vals)))
 
 
-def _check_tiles(kernel, Ry, Rz, symmetric):
-    vy, wy = numerics._nodes_from_edges(EDGES_Y)
-    vz, wz = (vy, wy) if symmetric else numerics._nodes_from_edges(EDGES_Z)
+def _check_tiles(kernel, Ry, Rz, symmetric, edges_y=EDGES_Y, edges_z=EDGES_Z):
+    vy, wy = numerics._nodes_from_edges(edges_y)
+    vz, wz = (vy, wy) if symmetric else numerics._nodes_from_edges(edges_z)
     got, nev = numerics._tensor_value(kernel, Ry, Rz, vy, wy, vz, wz,
                                       symmetric)
     want = _direct_sum(kernel, Ry, Rz, vy, wy, vz, wz, symmetric)
@@ -98,6 +100,61 @@ def test_tiles_match_direct_sum_error_variance_kernels(mode, monkeypatch):
     for kernel, Ry, Rz, symmetric in blocks:
         assert isinstance(kernel, PairKernel)
         _check_tiles(kernel, Ry, Rz, symmetric)
+
+
+def _class_counts(monkeypatch):
+    """Records (touched pairs, classes) of every sum-line table built."""
+    counts = []
+    inner = numerics._pair_classes
+
+    def spy(*args):
+        cls, first = inner(*args)
+        counts.append((cls.size, first.size))
+        return cls, first
+
+    monkeypatch.setattr(numerics, "_pair_classes", spy)
+    return counts
+
+
+def test_tiles_share_sum_classes_on_even_panels(monkeypatch):
+    def plain(y, z):
+        return np.exp(0.3 * y) / ((1.0 + y * y) * (2.0 + z * z)) \
+            + 1.0 / (4.0 + y + 2.0 * z)
+
+    _check_tiles(plain, 0.5, 1.5, False, EVEN, EVEN)
+    spread = lh.call(95.0) - lh.call(105.0)
+    blocks = []
+    for co in (lh.coefficients(NIG_FIT, 0.25, 12),
+               lh.coefficients_ct(NIG_FIT, 0.25)):
+        with monkeypatch.context() as mp:
+            blocks += _line_kernels(
+                mp, lambda: lh.error_variance(co, spread, 100.0))
+    counts = _class_counts(monkeypatch)
+    for kernel, Ry, Rz, symmetric in blocks:
+        _check_tiles(kernel, Ry, Rz, symmetric, EVEN, EVEN)
+    assert len(counts) == len(blocks) == 6
+    assert all(classes < pairs for pairs, classes in counts)
+
+
+@pytest.mark.parametrize("model, payoff, N", [
+    (NIG_FIT, lh.call(99.0), 12),
+    (VG, lh.call(95.0) - lh.call(105.0), 63),
+    (NIG_FIT, lh.call(99.0), None),
+])
+def test_shared_sum_classes_match_one_class_per_pair(model, payoff, N,
+                                                     monkeypatch):
+    co = (lh.coefficients_ct(model, 0.25) if N is None
+          else lh.coefficients(model, 0.25, N))
+    shared, res = lh.error_variance(co, payoff, 100.0, return_result=True)
+
+    def one_per_pair(mid_y, half_y, mid_z, half_z, p, q, quantum):
+        return np.arange(p.size), np.arange(p.size)
+
+    monkeypatch.setattr(numerics, "_pair_classes", one_per_pair)
+    alone, res_alone = lh.error_variance(co, payoff, 100.0,
+                                         return_result=True)
+    assert abs(shared - alone) <= 1e-12 * max(1.0, alone)
+    assert res.nodes_used == res_alone.nodes_used
 
 
 def test_error_variance_node_count_pinned():
