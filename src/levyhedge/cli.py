@@ -8,8 +8,9 @@ overridden on the command line by a flag of the same dotted name, e.g.
 notation, header always present) or JSON records mirroring the columns.
 
 Exit codes: 0 success, 1 configuration/validation error (the offending
-key is named), 2 numerical failure (unresolved quadrature budget or a
-materially negative variance).
+key is named), 2 numerical failure: a quantity of ``price``, ``hedge``,
+``error``, ``backtest`` or ``sweep`` whose quadrature is flagged
+unconverged, or a materially negative variance.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -38,17 +39,14 @@ class ConfigError(ValueError):
         self.key = key
 
 
-_MODEL_FIELDS = {
-    "gaussian": ("mu", "sigma"),
-    "merton": ("mu", "sigma", "jump_intensity", "jump_mean", "jump_sd"),
-    "nig": ("alpha", "beta", "delta", "mu"),
-    "vg": ("alpha", "beta", "delta", "mu"),
-    "hyperbolic": ("alpha", "beta", "delta", "mu"),
-}
+_MODELS = {"gaussian": mdl.Gaussian, "merton": mdl.MertonJD, "nig": mdl.NIG,
+           "vg": mdl.VG, "hyperbolic": mdl.Hyperbolic}
 
-_PAYOFF_KINDS = ("call", "put", "call_low_moment", "power_call",
-                 "power_call_fractional", "self_quanto_call", "digital",
-                 "log_contract")
+_PAYOFFS = {"call": po.call, "put": po.put,
+            "call_low_moment": po.call_low_moment, "power_call": po.power_call,
+            "power_call_fractional": po.power_call_fractional,
+            "self_quanto_call": po.self_quanto_call, "digital": po.digital,
+            "log_contract": po.log_contract}
 
 _DEFAULTS = {
     "hedge.mode": "discrete",
@@ -70,7 +68,6 @@ class RunConfig:
 
     model: mdl.LevyModelSpec
     payoff: po.TransformMeasure
-    payoff_kind: str
     strike: Optional[float]
     mode: str
     spot: float
@@ -84,7 +81,6 @@ class RunConfig:
     tol: float
     out_format: str
     out_path: Optional[str]
-    raw: dict = field(default_factory=dict)
 
 
 def _parse_kv_file(path: str) -> dict:
@@ -143,13 +139,12 @@ def build_model(kv: dict) -> mdl.LevyModelSpec:
     if tag is None:
         raise ConfigError("model.tag", "missing required key")
     tag = tag.lower()
-    if tag not in _MODEL_FIELDS:
+    if tag not in _MODELS:
         raise ConfigError("model.tag",
                           f"unknown tag {tag!r}; expected one of "
-                          f"{sorted(_MODEL_FIELDS)}")
-    params = {f: _get_float(kv, f"model.{f}") for f in _MODEL_FIELDS[tag]}
-    cls = {"gaussian": mdl.Gaussian, "merton": mdl.MertonJD, "nig": mdl.NIG,
-           "vg": mdl.VG, "hyperbolic": mdl.Hyperbolic}[tag]
+                          f"{sorted(_MODELS)}")
+    cls = _MODELS[tag]
+    params = {f.name: _get_float(kv, f"model.{f.name}") for f in fields(cls)}
     try:
         return cls(**params)
     except ValueError as exc:
@@ -161,35 +156,30 @@ def build_payoff(kv: dict):
     if kind is None:
         raise ConfigError("payoff.kind", "missing required key")
     kind = kind.lower().replace("-", "_")
-    if kind not in _PAYOFF_KINDS:
+    if kind not in _PAYOFFS:
         raise ConfigError("payoff.kind",
                           f"unknown kind {kind!r}; expected one of "
-                          f"{_PAYOFF_KINDS}")
+                          f"{tuple(_PAYOFFS)}")
+    # an abscissa is passed only when set: the catalog holds the defaults
     absc = _get_float(kv, "payoff.abscissa", required=False)
+    kwargs = {}
     try:
         if kind == "log_contract":
-            neg = _get_float(kv, "payoff.abscissa_neg", required=False,
-                             default=-0.5)
-            pos = absc if absc is not None else 0.5
-            return po.log_contract(neg, pos), kind, None
-        strike = _get_float(kv, "payoff.strike")
-        if kind == "call":
-            m = po.call(strike, absc if absc is not None else 1.5)
-        elif kind == "put":
-            m = po.put(strike, absc if absc is not None else -0.5)
-        elif kind == "call_low_moment":
-            m = po.call_low_moment(strike, absc if absc is not None else 0.5)
-        elif kind == "power_call":
-            n = _get_int(kv, "payoff.power")
-            m = po.power_call(strike, n, absc)
-        elif kind == "power_call_fractional":
-            a = _get_float(kv, "payoff.power")
-            m = po.power_call_fractional(strike, a, absc)
-        elif kind == "self_quanto_call":
-            m = po.self_quanto_call(strike, absc if absc is not None else 2.5)
+            strike, args = None, ()
+            if absc is not None:
+                kwargs["abscissa_pos"] = absc
+            if "payoff.abscissa_neg" in kv:
+                kwargs["abscissa_neg"] = _get_float(kv, "payoff.abscissa_neg")
         else:
-            m = po.digital(strike, absc if absc is not None else 0.5)
-        return m, kind, strike
+            strike = _get_float(kv, "payoff.strike")
+            args = (strike,)
+            if kind == "power_call":
+                args += (_get_int(kv, "payoff.power"),)
+            elif kind == "power_call_fractional":
+                args += (_get_float(kv, "payoff.power"),)
+            if absc is not None:
+                kwargs["abscissa"] = absc
+        return _PAYOFFS[kind](*args, **kwargs), strike
     except ValueError as exc:
         raise ConfigError("payoff.*", str(exc))
 
@@ -207,11 +197,11 @@ def load_config(args) -> RunConfig:
         kv["output.format"] = args.format
 
     model = build_model(kv)
-    payoff, kind, strike = build_payoff(kv)
-    mode = kv.get("hedge.mode", "discrete").lower()
+    payoff, strike = build_payoff(kv)
+    mode = kv["hedge.mode"].lower()
     if mode not in ("discrete", "continuous"):
         raise ConfigError("hedge.mode", f"expected discrete|continuous, got {mode!r}")
-    fmt = kv.get("output.format", "csv").lower()
+    fmt = kv["output.format"].lower()
     if fmt not in ("csv", "json"):
         raise ConfigError("output.format", f"expected csv|json, got {fmt!r}")
     spot = _get_float(kv, "hedge.spot")
@@ -224,7 +214,7 @@ def load_config(args) -> RunConfig:
     if steps < 1:
         raise ConfigError("hedge.steps", "must be >= 1")
     return RunConfig(
-        model=model, payoff=payoff, payoff_kind=kind, strike=strike,
+        model=model, payoff=payoff, strike=strike,
         mode=mode, spot=spot, maturity=maturity, steps=steps,
         capital=_get_float(kv, "hedge.capital", required=False),
         mc_paths=_get_int(kv, "mc.paths"),
@@ -232,7 +222,7 @@ def load_config(args) -> RunConfig:
         seed=_get_int(kv, "mc.seed"),
         antithetic=_get_bool(kv, "mc.antithetic"),
         tol=_get_float(kv, "quadrature.tol"),
-        out_format=fmt, out_path=kv.get("output.path"), raw=kv,
+        out_format=fmt, out_path=kv.get("output.path"),
     )
 
 
@@ -267,41 +257,27 @@ def _coeffs(cfg: RunConfig):
     return hg.coefficients_ct(cfg.model, cfg.maturity)
 
 
-def _check_admissible(cfg: RunConfig) -> bool:
-    strip = mdl.strip_of_finiteness(cfg.model)
-    return po.abscissa_admissible(cfg.payoff, strip)
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
 def cmd_price(cfg: RunConfig) -> int:
-    admissible = _check_admissible(cfg)
-    if not admissible:
-        print("inadmissible: payoff abscissas violate the model's moment strip",
-              file=sys.stderr)
-        return 1
-    with warnings.catch_warnings(record=True) as wlist:
-        warnings.simplefilter("always")
+    with warnings.catch_warnings():
+        # the NEGATIVE-CAPITAL line below reports it
+        warnings.simplefilter("ignore", hg.NegativeCapitalWarning)
         v0 = hg.initial_capital(_coeffs(cfg), cfg.payoff, cfg.spot,
                                 tol=cfg.tol * 1e-3)
-    if any(issubclass(w.category, po.QuadratureWarning) for w in wlist):
-        print("numerical failure: quadrature budget exhausted", file=sys.stderr)
-        return 2
     if v0 < 0.0:
         print(f"WARNING: NEGATIVE-CAPITAL: V0 = {v0:.6g} < 0 "
               "(variance-optimal capital is not an arbitrage-free price)",
               file=sys.stderr)
-    _emit([{"mode": cfg.mode, "V0": v0, "admissible": admissible}],
+    # an inadmissible pair has raised by now
+    _emit([{"mode": cfg.mode, "V0": v0, "admissible": True}],
           ["mode", "V0", "admissible"], cfg)
     return 0
 
 
 def cmd_hedge(cfg: RunConfig, spot: float, when: float, wealth_gap: float) -> int:
-    if not _check_admissible(cfg):
-        print("inadmissible payoff/model pair", file=sys.stderr)
-        return 1
     co = _coeffs(cfg)
     if cfg.mode == "discrete":
         n = when if when is not None else 1
@@ -318,38 +294,23 @@ def cmd_hedge(cfg: RunConfig, spot: float, when: float, wealth_gap: float) -> in
 
 
 def cmd_error(cfg: RunConfig) -> int:
-    if not _check_admissible(cfg):
-        print("inadmissible payoff/model pair", file=sys.stderr)
-        return 1
-    with warnings.catch_warnings(record=True) as wlist:
-        warnings.simplefilter("always")
-        j0, res = hg.error_variance(_coeffs(cfg), cfg.payoff, cfg.spot,
-                                    tol=cfg.tol, return_result=True)
-    if any(issubclass(w.category, po.QuadratureWarning) for w in wlist):
-        print("numerical failure: quadrature budget exhausted", file=sys.stderr)
-        return 2
+    j0, res = hg.error_variance(_coeffs(cfg), cfg.payoff, cfg.spot,
+                                tol=cfg.tol, return_result=True)
     _emit([{"mode": cfg.mode, "J0": j0, "error_estimate": res.error_estimate}],
           ["mode", "J0", "error_estimate"], cfg)
     return 0
 
 
 def cmd_backtest(cfg: RunConfig) -> int:
-    if not _check_admissible(cfg):
-        print("inadmissible payoff/model pair", file=sys.stderr)
-        return 1
-    try:
-        if cfg.mode == "discrete":
-            rep = sim.backtest_discrete(cfg.model, cfg.payoff, cfg.spot,
-                                        cfg.maturity, cfg.steps, cfg.mc_paths,
-                                        cfg.seed, capital=cfg.capital,
-                                        antithetic=cfg.antithetic)
-        else:
-            rep = sim.backtest_continuous_approx(
-                cfg.model, cfg.payoff, cfg.spot, cfg.maturity, cfg.mc_steps,
-                cfg.mc_paths, cfg.seed, antithetic=cfg.antithetic)
-    except mdl.UnsupportedModelError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 1
+    if cfg.mode == "discrete":
+        rep = sim.backtest_discrete(cfg.model, cfg.payoff, cfg.spot,
+                                    cfg.maturity, cfg.steps, cfg.mc_paths,
+                                    cfg.seed, capital=cfg.capital,
+                                    antithetic=cfg.antithetic)
+    else:
+        rep = sim.backtest_continuous_approx(
+            cfg.model, cfg.payoff, cfg.spot, cfg.maturity, cfg.mc_steps,
+            cfg.mc_paths, cfg.seed, antithetic=cfg.antithetic)
     rec = {
         "n_paths": rep.n_paths,
         "capital_used": rep.capital_used,
@@ -383,51 +344,32 @@ def _parse_grid(spec: str, integer=False):
 
 
 def cmd_sweep(cfg: RunConfig, axis: str, grid_spec: str) -> int:
-    if not _check_admissible(cfg):
-        print("inadmissible payoff/model pair", file=sys.stderr)
-        return 1
     columns = ["axis_value", "V0", "xi0", "J0_discrete", "J0_continuous",
                "J0_gaussian_benchmark"]
     grid = _parse_grid(grid_spec, integer=(axis == "trading_dates"))
-    records = []
     bench = mdl.gaussian_benchmark(cfg.model)
     co_ct = hg.coefficients_ct(cfg.model, cfg.maturity)
-    if axis == "spot":
-        co_d = hg.coefficients(cfg.model, cfg.maturity, cfg.steps)
-        co_b = hg.coefficients(bench, cfg.maturity, cfg.steps)
-        for s0 in grid:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", hg.NegativeCapitalWarning)
-                records.append({
-                    "axis_value": float(s0),
-                    "V0": hg.initial_capital(co_d, cfg.payoff, s0),
-                    "xi0": hg.xi(co_d, cfg.payoff, s0, 1),
-                    "J0_discrete": hg.error_variance(co_d, cfg.payoff, s0,
-                                                     tol=cfg.tol),
-                    "J0_continuous": hg.error_variance_ct(co_ct, cfg.payoff,
-                                                          s0, tol=cfg.tol),
-                    "J0_gaussian_benchmark": hg.error_variance(
-                        co_b, cfg.payoff, s0, tol=cfg.tol),
-                })
-    elif axis == "trading_dates":
-        j0_ct = hg.error_variance_ct(co_ct, cfg.payoff, cfg.spot, tol=cfg.tol)
-        for n in grid:
-            co_d = hg.coefficients(cfg.model, cfg.maturity, int(n))
-            co_b = hg.coefficients(bench, cfg.maturity, int(n))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", hg.NegativeCapitalWarning)
-                records.append({
-                    "axis_value": int(n),
-                    "V0": hg.initial_capital(co_d, cfg.payoff, cfg.spot),
-                    "xi0": hg.xi(co_d, cfg.payoff, cfg.spot, 1),
-                    "J0_discrete": hg.error_variance(co_d, cfg.payoff,
-                                                     cfg.spot, tol=cfg.tol),
-                    "J0_continuous": j0_ct,
-                    "J0_gaussian_benchmark": hg.error_variance(
-                        co_b, cfg.payoff, cfg.spot, tol=cfg.tol),
-                })
-    else:
-        raise ConfigError("axis", f"expected spot|trading_dates, got {axis!r}")
+    j0_ct = {}               # the continuous J0 depends on the spot alone
+    records = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", hg.NegativeCapitalWarning)
+        for value in grid:
+            s0, n = (value, cfg.steps) if axis == "spot" else (cfg.spot, value)
+            co_d = hg.coefficients(cfg.model, cfg.maturity, n)
+            co_b = hg.coefficients(bench, cfg.maturity, n)
+            if s0 not in j0_ct:
+                j0_ct[s0] = hg.error_variance_ct(co_ct, cfg.payoff, s0,
+                                                 tol=cfg.tol)
+            records.append({
+                "axis_value": value,
+                "V0": hg.initial_capital(co_d, cfg.payoff, s0),
+                "xi0": hg.xi(co_d, cfg.payoff, s0, 1),
+                "J0_discrete": hg.error_variance(co_d, cfg.payoff, s0,
+                                                 tol=cfg.tol),
+                "J0_continuous": j0_ct[s0],
+                "J0_gaussian_benchmark": hg.error_variance(
+                    co_b, cfg.payoff, s0, tol=cfg.tol),
+            })
     _emit(records, columns, cfg)
     return 0
 
@@ -544,29 +486,30 @@ def main(argv=None) -> int:
     try:
         args.overrides = _split_overrides(unknown)
         cfg = load_config(args)
-        if args.command == "price":
-            return cmd_price(cfg)
-        if args.command == "hedge":
-            return cmd_hedge(cfg, args.spot, args.step, args.wealth_gap)
-        if args.command == "error":
-            return cmd_error(cfg)
-        if args.command == "backtest":
-            return cmd_backtest(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, args.axis, args.grid)
         if args.command == "payoff-check":
+            # reports its reconstruction errors itself
             return cmd_payoff_check(cfg, args.s_grid)
-        parser.error(f"unknown command {args.command}")
+        with warnings.catch_warnings():
+            # a flagged quantity is a numerical failure, never an output
+            warnings.simplefilter("error", po.QuadratureWarning)
+            if args.command == "price":
+                return cmd_price(cfg)
+            if args.command == "hedge":
+                return cmd_hedge(cfg, args.spot, args.step, args.wealth_gap)
+            if args.command == "error":
+                return cmd_error(cfg)
+            if args.command == "backtest":
+                return cmd_backtest(cfg)
+            return cmd_sweep(cfg, args.axis, args.grid)
     except ConfigError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
-    except hg.NegativeVarianceError as exc:
+    except (hg.NegativeVarianceError, po.QuadratureWarning) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -150,8 +150,8 @@ class MomentStrip:
     lo: float
     hi: float
 
-    def contains(self, p: float, margin: float = 0.0) -> bool:
-        return self.lo + margin < p < self.hi - margin
+    def contains(self, p: float) -> bool:
+        return self.lo < p < self.hi
 
 
 def strip_of_finiteness(model: LevyModelSpec) -> MomentStrip:

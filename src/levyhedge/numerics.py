@@ -460,9 +460,9 @@ def bromwich_integrate(integrand, abscissa: float, *,
                        truncation_cap: float = 1e9,
                        c_start: float = 64.0,
                        dead_tol_factor: float = 0.5,
-                       external_tail: bool = False,
-                       conjugate_symmetric: bool = True):
-    """Self-truncating vertical-line integral.
+                       external_tail: bool = False):
+    """Self-truncating vertical-line integral of a conjugate-symmetric
+    integrand, folded onto v >= 0 as ``2 Re integrand(R + iv)``.
 
     Integrates outward in geometrically growing segments ``[c, 2c]``, the
     first being ``[0, min(64, c_start)]``, until two consecutive segment
@@ -476,7 +476,7 @@ def bromwich_integrate(integrand, abscissa: float, *,
     payoff engine), so no segment-based tail heuristic is added.  Returns
     ``(result, height)``, the height being where the run stopped.
     """
-    fv = _wrap_integrand(integrand, abscissa, conjugate_symmetric)
+    fv = _wrap_integrand(integrand, abscissa, True)
     value = 0.0 + 0j
     err = 0.0
     nevals = 0

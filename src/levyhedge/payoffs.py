@@ -126,8 +126,6 @@ class PointMass:
 @dataclass(frozen=True)
 class TransformMeasure:
     components: tuple
-    strip_lo: float
-    strip_hi: float
     analytic: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
@@ -157,12 +155,7 @@ class TransformMeasure:
             return NotImplemented
         fa, fb = self.analytic, other.analytic
         analytic = (lambda s: fa(s) + fb(s)) if (fa and fb) else None
-        return TransformMeasure(
-            self.components + other.components,
-            min(self.strip_lo, other.strip_lo),
-            max(self.strip_hi, other.strip_hi),
-            analytic,
-        )
+        return TransformMeasure(self.components + other.components, analytic)
 
     def __rmul__(self, a: float) -> "TransformMeasure":
         a = float(a)
@@ -174,7 +167,7 @@ class TransformMeasure:
                 comps.append(PointMass(c.location, a * c.weight))
         fa = self.analytic
         analytic = (lambda s: a * fa(s)) if fa else None
-        return TransformMeasure(tuple(comps), self.strip_lo, self.strip_hi, analytic)
+        return TransformMeasure(tuple(comps), analytic)
 
     __mul__ = __rmul__
 
@@ -204,37 +197,38 @@ def _closed_form(f):
     return analytic
 
 
-def call(strike: float, abscissa: float = 1.5) -> TransformMeasure:
-    """(s - K)^+ from a single line with R > 1."""
+def _strike(strike) -> float:
     if strike <= 0.0:
         raise ValueError(f"strike must be > 0, got {strike}")
-    if not abscissa > 1.0:
-        raise ValueError(f"call abscissa must be > 1, got {abscissa}")
-    K = float(strike)
+    return float(strike)
 
+
+def _call_line(K: float, abscissa: float) -> Line:
+    """The line ``K^(1-z) / (2 pi z (z-1))`` shared by the call (R > 1),
+    the put (R < 0) and the low-moment call (0 < R < 1)."""
     def density(z):
         return K ** (1.0 - z) / (_TWO_PI * z * (z - 1.0))
 
-    line = Line(abscissa, density, strike_scale=K)
+    return Line(abscissa, density, strike_scale=K)
+
+
+def call(strike: float, abscissa: float = 1.5) -> TransformMeasure:
+    """(s - K)^+ from a single line with R > 1."""
+    K = _strike(strike)
+    if not abscissa > 1.0:
+        raise ValueError(f"call abscissa must be > 1, got {abscissa}")
     return TransformMeasure(
-        (line,), abscissa, abscissa,
+        (_call_line(K, abscissa),),
         analytic=_closed_form(lambda s: np.maximum(s - K, 0.0)))
 
 
 def put(strike: float, abscissa: float = -0.5) -> TransformMeasure:
     """(K - s)^+: the call density with the line left of zero."""
-    if strike <= 0.0:
-        raise ValueError(f"strike must be > 0, got {strike}")
+    K = _strike(strike)
     if not abscissa < 0.0:
         raise ValueError(f"put abscissa must be < 0, got {abscissa}")
-    K = float(strike)
-
-    def density(z):
-        return K ** (1.0 - z) / (_TWO_PI * z * (z - 1.0))
-
-    line = Line(abscissa, density, strike_scale=K)
     return TransformMeasure(
-        (line,), abscissa, abscissa,
+        (_call_line(K, abscissa),),
         analytic=_closed_form(lambda s: np.maximum(K - s, 0.0)))
 
 
@@ -244,32 +238,23 @@ def call_low_moment(strike: float, abscissa: float = 0.5) -> TransformMeasure:
     The line with 0 < R < 1 represents (s - K)^+ - s; adding the unit
     point mass at 1 (the stock itself) restores the call.
     """
-    if strike <= 0.0:
-        raise ValueError(f"strike must be > 0, got {strike}")
+    K = _strike(strike)
     if not 0.0 < abscissa < 1.0:
         raise ValueError(
             f"low-moment call abscissa must lie in (0, 1), got {abscissa}")
-    K = float(strike)
-
-    def density(z):
-        return K ** (1.0 - z) / (_TWO_PI * z * (z - 1.0))
-
-    line = Line(abscissa, density, strike_scale=K)
     return TransformMeasure(
-        (line, PointMass(1.0 + 0j, 1.0 + 0j)), abscissa, abscissa,
+        (_call_line(K, abscissa), PointMass(1.0 + 0j, 1.0 + 0j)),
         analytic=_closed_form(lambda s: np.maximum(s - K, 0.0)))
 
 
 def power_call(strike: float, n: int, abscissa: Optional[float] = None) -> TransformMeasure:
     """((s - K)^+)^n for integer n >= 2, line right of n."""
-    if strike <= 0.0:
-        raise ValueError(f"strike must be > 0, got {strike}")
+    K = _strike(strike)
     if not (isinstance(n, (int, np.integer)) and n >= 2):
         raise ValueError(f"power_call needs integer n >= 2, got {n}")
     R = float(abscissa) if abscissa is not None else n + 0.5
     if not R > n:
         raise ValueError(f"power_call abscissa must be > {n}, got {R}")
-    K = float(strike)
     fact = float(math.factorial(n))
 
     def density(z):
@@ -280,22 +265,19 @@ def power_call(strike: float, n: int, abscissa: Optional[float] = None) -> Trans
 
     line = Line(R, density, decay_power=float(n + 1), strike_scale=K)
     return TransformMeasure(
-        (line,), R, R,
-        analytic=_closed_form(lambda s: np.maximum(s - K, 0.0) ** n))
+        (line,), analytic=_closed_form(lambda s: np.maximum(s - K, 0.0) ** n))
 
 
 def power_call_fractional(strike: float, power: float,
                           abscissa: Optional[float] = None) -> TransformMeasure:
     """((s - K)^+)^a for real a > 1, via the Euler beta function."""
-    if strike <= 0.0:
-        raise ValueError(f"strike must be > 0, got {strike}")
+    K = _strike(strike)
     a = float(power)
     if not a > 1.0:
         raise ValueError(f"fractional power must be > 1, got {a}")
     R = float(abscissa) if abscissa is not None else a + 0.5
     if not R > a:
         raise ValueError(f"fractional power abscissa must be > {a}, got {R}")
-    K = float(strike)
     a1 = a + 1.0
     lg_a1 = numerics.log_gamma(a1)
 
@@ -307,8 +289,7 @@ def power_call_fractional(strike: float, power: float,
 
     line = Line(R, density, decay_power=a + 1.0, strike_scale=K)
     return TransformMeasure(
-        (line,), R, R,
-        analytic=_closed_form(lambda s: np.maximum(s - K, 0.0) ** a))
+        (line,), analytic=_closed_form(lambda s: np.maximum(s - K, 0.0) ** a))
 
 
 def self_quanto_call(strike: float, abscissa: float = 2.5) -> TransformMeasure:
@@ -318,19 +299,16 @@ def self_quanto_call(strike: float, abscissa: float = 2.5) -> TransformMeasure:
     (e^x - K)^+ e^x computed directly, which the substitution z -> z+1 in
     the plain call representation confirms.
     """
-    if strike <= 0.0:
-        raise ValueError(f"strike must be > 0, got {strike}")
+    K = _strike(strike)
     if not abscissa > 2.0:
         raise ValueError(f"self-quanto abscissa must be > 2, got {abscissa}")
-    K = float(strike)
 
     def density(z):
         return K ** (2.0 - z) / (_TWO_PI * (z - 1.0) * (z - 2.0))
 
     line = Line(abscissa, density, strike_scale=K)
     return TransformMeasure(
-        (line,), abscissa, abscissa,
-        analytic=_closed_form(lambda s: np.maximum(s - K, 0.0) * s))
+        (line,), analytic=_closed_form(lambda s: np.maximum(s - K, 0.0) * s))
 
 
 def digital(strike: float, abscissa: float = 0.5) -> TransformMeasure:
@@ -340,11 +318,9 @@ def digital(strike: float, abscissa: float = 0.5) -> TransformMeasure:
     the indicator payoff almost surely only when the terminal law has no
     atoms (any model in this package).
     """
-    if strike <= 0.0:
-        raise ValueError(f"strike must be > 0, got {strike}")
+    K = _strike(strike)
     if not abscissa > 0.0:
         raise ValueError(f"digital abscissa must be > 0, got {abscissa}")
-    K = float(strike)
 
     def density(z):
         return K ** (-z) / (_TWO_PI * z)
@@ -355,8 +331,7 @@ def digital(strike: float, abscissa: float = 0.5) -> TransformMeasure:
     def indicator(s):
         return np.where(s > K, 1.0, np.where(s == K, 0.5, 0.0))
 
-    return TransformMeasure((line,), abscissa, abscissa,
-                            analytic=_closed_form(indicator))
+    return TransformMeasure((line,), analytic=_closed_form(indicator))
 
 
 def log_contract(abscissa_neg: float = -0.5, abscissa_pos: float = 0.5) -> TransformMeasure:
@@ -374,8 +349,7 @@ def log_contract(abscissa_neg: float = -0.5, abscissa_pos: float = 0.5) -> Trans
 
     lines = (Line(abscissa_pos, density_pos, strike_scale=1.0),
              Line(abscissa_neg, density_neg, strike_scale=1.0))
-    return TransformMeasure(lines, abscissa_neg, abscissa_pos,
-                            analytic=_closed_form(np.log))
+    return TransformMeasure(lines, analytic=_closed_form(np.log))
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +376,7 @@ def abscissa_admissible(measure: TransformMeasure, strip: MomentStrip) -> bool:
 _X_FLOOR = 1e-9          # below this, treat the point as exactly at strike
 _CX_MIN = 32.0           # tail corrections need c |x| >= this to be valid
 _NO_CAP = 1e13           # truncation cap of an undamped integrand
+_LINE_NODES = 400_000    # node budget of one line integral
 
 
 def _height_plan(line: Line, s_values, tol_abs: float, cap: float = _NO_CAP):
@@ -444,7 +419,7 @@ def _height_plan(line: Line, s_values, tol_abs: float, cap: float = _NO_CAP):
     return heights, correct & (heights < cap * 0.999)
 
 
-def tail_completion(line: Line, s_sel, cs, weight3=None, delta: float = 1.0):
+def tail_completion(line: Line, s_sel, cs, weight3=None):
     """Analytic completion of the truncated oscillatory tails of a line.
 
     For each point s with truncation height c, writes the integrand
@@ -470,7 +445,7 @@ def tail_completion(line: Line, s_sel, cs, weight3=None, delta: float = 1.0):
     # probe spacing small enough that the phase step stays unaliased even
     # with the payoff oscillation log(s/K) plus a drift-induced shift
     xs_nom = np.abs(np.log(s_sel / line.strike_scale))
-    d = np.minimum(delta, 1.2 / (1.0 + xs_nom))
+    d = np.minimum(1.0, 1.2 / (1.0 + xs_nom))
     v3 = np.vstack((cs, cs + d, cs - d))
     z3 = line.abscissa + 1j * v3
     f3 = np.asarray(line.density(z3), dtype=complex)
@@ -529,7 +504,7 @@ def _line_integral(line: Line, weight, s: float, tol_abs: float,
 
 
 def integrate_measure(measure: TransformMeasure, s: float, weight=None, *,
-                      tol_abs: float = 1e-9, node_budget: int = 400_000,
+                      tol_abs: float = 1e-9,
                       warn: bool = True) -> QuadratureResult:
     """``sum over Pi of s^z * weight(z)``: the workhorse behind payoff
     reconstruction, prices and hedge ratios.
@@ -544,7 +519,7 @@ def integrate_measure(measure: TransformMeasure, s: float, weight=None, *,
     nodes = 0
     converged = True
     for line in measure.lines():
-        res = _line_integral(line, weight, s, tol_abs, node_budget)
+        res = _line_integral(line, weight, s, tol_abs, _LINE_NODES)
         total += res.value
         err += res.error_estimate
         nodes += res.nodes_used
@@ -559,7 +534,7 @@ def integrate_measure(measure: TransformMeasure, s: float, weight=None, *,
 
 
 def evaluate_payoff(measure: TransformMeasure, s: float, *,
-                    tol_abs: float = 1e-9, node_budget: int = 400_000) -> float:
+                    tol_abs: float = 1e-9) -> float:
     """Reconstruct the payoff at s from its transform measure.
 
     The imaginary residue must be negligible (the measure is conjugate
@@ -567,8 +542,7 @@ def evaluate_payoff(measure: TransformMeasure, s: float, *,
     """
     if not measure.components:
         return 0.0
-    res = integrate_measure(measure, s, None, tol_abs=tol_abs,
-                            node_budget=node_budget)
+    res = integrate_measure(measure, s, None, tol_abs=tol_abs)
     val = res.value
     if abs(val.imag) > 1e-10 * (1.0 + abs(val.real)):
         warnings.warn(
@@ -772,6 +746,7 @@ def tabulate_transform(measure: TransformMeasure, s_grid, weight=None, *,
 # ---------------------------------------------------------------------------
 
 _RIDGE_WIDTH = 300.0     # generous effective width of the antidiagonal ridge
+_PAIR_NODES = 4_000_000  # node budget of one double integral
 _PAIR_SOFT_CAP = 3072.0  # beyond this, finish the ridge by iterated quadrature
 # candidate truncation heights: doublings from 64 up to the soft cap
 _PROBE_HEIGHTS = 64.0 * 2.0 ** np.arange(
@@ -806,7 +781,7 @@ def _pair_truncation(axis_slice, anti_slice, tol_abs: float):
 _RIDGE_OFFSETS = np.array([0.0, 10.0, 20.0, 40.0, 80.0, 160.0, 320.0, 640.0])
 
 
-def _ridge_transverse_width(pair_kernel, Ry, Rz, c, default=math.inf):
+def _ridge_transverse_width(pair_kernel, Ry, Rz, c):
     """Half-width of the antidiagonal ridge, capping tensor panel widths.
 
     Probes the kernel transversally to the ridge at half the truncation
@@ -817,11 +792,11 @@ def _ridge_transverse_width(pair_kernel, Ry, Rz, c, default=math.inf):
     mags = np.abs(pair_kernel(Ry + 1j * (v0 + _RIDGE_OFFSETS), Rz - 1j * v0))
     peak = mags[0]
     if peak < 1e-300:
-        return default
+        return math.inf
     for u, mag in zip(_RIDGE_OFFSETS[1:].tolist(), mags[1:]):
         if mag < 0.5 * peak:
             return max(u, 16.0)
-    return default
+    return math.inf
 
 
 def _far_ridge_integral(pair_kernel, Ry, Rz, c: float, tol_abs: float):
@@ -888,7 +863,6 @@ def _far_ridge_integral(pair_kernel, Ry, Rz, c: float, tol_abs: float):
 
 def double_integrate_measure(measure: TransformMeasure, kernel, *,
                              tol_abs: float = 1e-8,
-                             node_budget: int = 4_000_000,
                              warn: bool = True) -> QuadratureResult:
     """``integral of kernel(y, z) Pi(dy) Pi(dz)`` for a symmetric kernel.
 
@@ -937,7 +911,7 @@ def double_integrate_measure(measure: TransformMeasure, kernel, *,
             # the uniform-refinement error check guards the ridge already;
             # the cap only needs to bring it within reach
             width *= 1.5 if (far_i or far_j) else 3.0
-            budget_axis = int(math.sqrt(node_budget))
+            budget_axis = int(math.sqrt(_PAIR_NODES))
             cy = ContourSpec(li.abscissa, ci, budget_axis)
             cz = ContourSpec(lj.abscissa, cj, budget_axis)
             res = numerics.double_contour_integrate(
@@ -960,7 +934,7 @@ def double_integrate_measure(measure: TransformMeasure, kernel, *,
             def cross(z, pm=pm):
                 return kernel(np.full_like(z, pm.location), z) * pm.weight
 
-            res = _line_integral(line, cross, 1.0, tol_abs, node_budget)
+            res = _line_integral(line, cross, 1.0, tol_abs, _PAIR_NODES)
             total += 2.0 * res.value
             err += 2.0 * res.error_estimate
             nodes += res.nodes_used

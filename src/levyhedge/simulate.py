@@ -96,6 +96,18 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(chunk_index)])
 
 
+def _increment_chunks(model, dt: float, steps: int, n_paths: int, seed: int,
+                      antithetic: bool = False) -> Iterator[np.ndarray]:
+    """Log-price increments of ``n_paths`` paths, ``(rows, steps)`` per
+    chunk of at most ``CHUNK_PATHS`` rows; chunk j draws from the
+    generator seeded with ``(seed, j)``."""
+    for chunk_index, first in enumerate(range(0, n_paths, CHUNK_PATHS)):
+        rng = _chunk_rng(seed, chunk_index)
+        size = (min(CHUNK_PATHS, n_paths - first), steps)
+        yield (mdl._antithetic_increments(model, dt, rng, size) if antithetic
+               else mdl.sample_increments(model, dt, rng, size=size))
+
+
 def simulate_paths(model, S0: float, T: float, steps: int, n_paths: int,
                    seed: int) -> Iterator[PathGrid]:
     """Stream of iid paths on the uniform grid, one PathGrid per path."""
@@ -103,31 +115,24 @@ def simulate_paths(model, S0: float, T: float, steps: int, n_paths: int,
         raise ValueError(f"steps must be >= 1, got {steps}")
     if n_paths < 0:
         raise ValueError(f"n_paths must be >= 0, got {n_paths}")
-    dt = T / steps
     times = np.linspace(0.0, T, steps + 1)
-    emitted = 0
-    chunk_index = 0
-    while emitted < n_paths:
-        n_rows = min(CHUNK_PATHS, n_paths - emitted)
-        rng = _chunk_rng(seed, chunk_index)
-        dx = mdl.sample_increments(model, dt, rng, size=(n_rows, steps))
-        x = np.concatenate((np.zeros((n_rows, 1)), np.cumsum(dx, axis=1)), axis=1)
-        for i in range(n_rows):
-            yield PathGrid(times=times, log_prices=x[i])
-        emitted += n_rows
-        chunk_index += 1
+    for dx in _increment_chunks(model, T / steps, steps, n_paths, seed):
+        x = np.concatenate((np.zeros((dx.shape[0], 1)), np.cumsum(dx, axis=1)),
+                           axis=1)
+        for row in x:
+            yield PathGrid(times=times, log_prices=row)
 
 
 # ---------------------------------------------------------------------------
 # Spot grids and transform tables
 # ---------------------------------------------------------------------------
 
-def _spot_grid(model, payoff, S0, T, n_base=1400, n_sigma=8.0):
+def _spot_grid(model, payoff, S0, T, n_sigma=8.0):
     k1, k2 = mdl.cumulant_derivatives(model)
     sd = math.sqrt(max(k2 * T, 1e-12))
     lo = math.log(S0) + min(k1 * T, 0.0) - n_sigma * sd
     hi = math.log(S0) + max(k1 * T, 0.0) + n_sigma * sd
-    pts = [np.linspace(lo, hi, n_base)]
+    pts = [np.linspace(lo, hi, 1400)]
     for line in payoff.lines():
         k = math.log(line.strike_scale)
         if lo < k < hi:
@@ -199,20 +204,15 @@ def _backtest(coeffs, weight, steps: int, payoff, S0: float, n_paths: int,
     rows, table_error = po.tabulate_transform(payoff, s_grid, weight,
                                               tol_abs=tol * (1.0 + S0))
     xi_tab, h_tab = rows[:steps] / s_grid, rows[steps:]
-    dt = coeffs.T / steps
     lam = coeffs.lambda_feedback
     sums = []
     clamped = 0
-    for chunk_index, first in enumerate(range(0, n_paths, CHUNK_PATHS)):
-        n_rows = min(CHUNK_PATHS, n_paths - first)
-        rng = _chunk_rng(seed, chunk_index)
-        size = (n_rows, steps)
-        dx = (mdl._antithetic_increments(model, dt, rng, size) if antithetic
-              else mdl.sample_increments(model, dt, rng, size=size))
-        s_prev = np.full(n_rows, float(S0))
+    for dx in _increment_chunks(model, coeffs.T / steps, steps, n_paths, seed,
+                                antithetic):
+        s_prev = np.full(dx.shape[0], float(S0))
         s_lo = s_prev.copy()
         s_hi = s_prev.copy()
-        gains = np.zeros(n_rows)
+        gains = np.zeros(dx.shape[0])
         for k in range(steps):
             np.minimum(s_lo, s_prev, out=s_lo)
             np.maximum(s_hi, s_prev, out=s_hi)

@@ -242,6 +242,25 @@ def test_inadmissible_pair_exit_code(capsys):
     assert "inadmissible" in err
 
 
+@pytest.mark.parametrize("command", [
+    ("backtest", "--mc.paths", "100"),
+    ("backtest", "--mc.paths", "100", "--hedge.mode", "continuous"),
+    ("sweep", "--axis", "spot", "--grid", "100"),
+    ("sweep", "--axis", "trading_dates", "--grid", "12"),
+], ids=["backtest-discrete", "backtest-continuous", "sweep-spot",
+        "sweep-trading-dates"])
+def test_flagged_error_variance_exit_code(cfg_path, capsys, monkeypatch,
+                                          command):
+    # a J0 flagged unconverged is a numerical failure, not a row of output
+    monkeypatch.setattr(po, "double_integrate_measure",
+                        lambda *a, **k: QuadratureResult(1.0 + 0j, 1.0, 1,
+                                                         False))
+    rc, out, err = run(capsys, "--config", cfg_path, *command)
+    assert rc == 2
+    assert out == ""
+    assert "numerical failure" in err
+
+
 @pytest.mark.parametrize("mode", ["discrete", "continuous"])
 def test_negative_variance_exit_code(cfg_path, capsys, monkeypatch, mode):
     monkeypatch.setattr(po, "double_integrate_measure",

@@ -14,7 +14,7 @@ MERTON = lh.MertonJD(mu=0.05, sigma=0.15, jump_intensity=0.8,
                      jump_mean=-0.06, jump_sd=0.12)
 GAUSS = lh.Gaussian(mu=0.08, sigma=0.2)
 
-STOCK = TransformMeasure((PointMass(1.0 + 0j, 1.0 + 0j),), 1.0, 1.0,
+STOCK = TransformMeasure((PointMass(1.0 + 0j, 1.0 + 0j),),
                          analytic=lambda s: s)
 
 

@@ -15,7 +15,7 @@ MERTON = lh.MertonJD(mu=0.05, sigma=0.15, jump_intensity=0.8,
                      jump_mean=-0.06, jump_sd=0.12)
 GAUSS = lh.Gaussian(mu=0.08, sigma=0.2)
 
-STOCK = TransformMeasure((PointMass(1.0 + 0j, 1.0 + 0j),), 1.0, 1.0,
+STOCK = TransformMeasure((PointMass(1.0 + 0j, 1.0 + 0j),),
                          analytic=lambda s: s)
 
 
@@ -211,6 +211,24 @@ def test_error_variance_nonnegative_catalog():
     for payoff in (lh.call(99.0), lh.put(99.0), lh.digital(99.0),
                    lh.self_quanto_call(99.0)):
         assert lh.error_variance(co, payoff, 100.0) >= 0.0
+
+
+@pytest.mark.parametrize("N", [1, 12, None], ids=["N1", "N12", "continuous"])
+@pytest.mark.parametrize("model", [
+    NIG_FIT, MERTON, lh.VG(alpha=60.0, beta=-3.0, delta=5.0, mu=0.01)],
+    ids=["nig", "merton", "vg"])
+def test_low_moment_call_error_variance_equals_call_and_put(model, N):
+    # the three differ by a multiple of the stock and a constant, both
+    # hedged exactly; the low-moment call alone runs the line-point cross
+    # terms of the double integral
+    co = (lh.coefficients_ct(model, 0.25) if N is None
+          else lh.coefficients(model, 0.25, N))
+    low, low_res = lh.error_variance(co, lh.call_low_moment(99.0), 100.0,
+                                     return_result=True)
+    for twin in (lh.call(99.0), lh.put(99.0)):
+        j0, res = lh.error_variance(co, twin, 100.0, return_result=True)
+        assert abs(low - j0) <= (low_res.error_estimate + res.error_estimate
+                                 + 1e-12 * abs(low))
 
 
 def test_gaussian_capital_converges_to_black_scholes():

@@ -49,7 +49,7 @@ def test_gaussian_variance_identity():
 def test_conjugate_symmetry(model, re, im):
     z = complex(re, im)
     strip = strip_of_finiteness(model)
-    if not strip.contains(re, margin=1e-6):
+    if not strip.lo + 1e-6 < re < strip.hi - 1e-6:
         return
     assert cumulant(model, np.conj(z)) == pytest.approx(
         np.conj(cumulant(model, z)), rel=1e-12, abs=1e-12)

@@ -41,7 +41,7 @@ def test_call_low_moment_examples():
     # the point mass alone is the stock itself
     pm = [c for c in m.components if isinstance(c, PointMass)]
     assert len(pm) == 1 and pm[0].location == 1.0 and pm[0].weight == 1.0
-    stock = TransformMeasure((pm[0],), 0.5, 0.5)
+    stock = TransformMeasure((pm[0],))
     assert evaluate_payoff(stock, 3.7) == pytest.approx(3.7, rel=1e-14)
 
 
@@ -95,7 +95,7 @@ def test_log_contract_examples():
 
 
 def test_empty_measure():
-    empty = TransformMeasure((), 0.0, 0.0)
+    empty = TransformMeasure(())
     assert evaluate_payoff(empty, 1.0) == 0.0
 
 
@@ -146,9 +146,9 @@ def test_pv_uniqueness_enforced():
 
 def test_conjugate_point_masses_enforced():
     with pytest.raises(ValueError):
-        TransformMeasure((PointMass(1.0 + 2.0j, 1.0 + 0j),), 1.0, 1.0)
+        TransformMeasure((PointMass(1.0 + 2.0j, 1.0 + 0j),))
     paired = TransformMeasure((PointMass(1.0 + 2.0j, 0.5 - 0.1j),
-                               PointMass(1.0 - 2.0j, 0.5 + 0.1j)), 1.0, 1.0)
+                               PointMass(1.0 - 2.0j, 0.5 + 0.1j)))
     val = evaluate_payoff(paired, 1.7)
     assert isinstance(val, float)
 

@@ -18,7 +18,7 @@ GAUSS = lh.Gaussian(mu=0.08, sigma=0.2)
 MERTON = lh.MertonJD(mu=0.05, sigma=0.15, jump_intensity=0.8,
                      jump_mean=-0.06, jump_sd=0.12)
 
-STOCK = TransformMeasure((PointMass(1.0 + 0j, 1.0 + 0j),), 1.0, 1.0,
+STOCK = TransformMeasure((PointMass(1.0 + 0j, 1.0 + 0j),),
                          analytic=lambda s: s)
 
 
@@ -204,7 +204,7 @@ def test_backtests_need_a_closed_form_payoff(monkeypatch):
     for mod, name in ((hd, "initial_capital"), (hd, "error_variance"),
                       (hc, "initial_capital_ct"), (hc, "error_variance_ct")):
         monkeypatch.setattr(mod, name, quadrature)
-    bare = TransformMeasure(lh.call(99.0).components, 1.5, 1.5)
+    bare = TransformMeasure(lh.call(99.0).components)
     with pytest.raises(ValueError, match="closed form"):
         backtest_discrete(NIG_FIT, bare, 100.0, 0.25, 1, 100, seed=1)
     with pytest.raises(ValueError, match="closed form"):
