@@ -101,31 +101,21 @@ def _parse_kv_file(path: str) -> dict:
     return out
 
 
-def _get_float(kv, key, required=True, default=None):
+def _get_number(kv, key, required=True, kind=float):
+    """``kv[key]`` as a ``kind`` (float or int); None if absent and not
+    ``required``."""
     if key not in kv:
-        if required and default is None:
+        if required:
             raise ConfigError(key, "missing required key")
-        return default
+        return None
     try:
-        return float(kv[key])
+        return kind(kv[key])
     except ValueError:
-        raise ConfigError(key, f"not a number: {kv[key]!r}")
+        what = "a number" if kind is float else "an integer"
+        raise ConfigError(key, f"not {what}: {kv[key]!r}")
 
 
-def _get_int(kv, key, default=None):
-    if key not in kv:
-        if default is None:
-            raise ConfigError(key, "missing required key")
-        return default
-    try:
-        return int(kv[key])
-    except ValueError:
-        raise ConfigError(key, f"not an integer: {kv[key]!r}")
-
-
-def _get_bool(kv, key, default=False):
-    if key not in kv:
-        return default
+def _get_bool(kv, key):
     val = kv[key].lower()
     if val in ("true", "1", "yes", "on"):
         return True
@@ -144,7 +134,7 @@ def build_model(kv: dict) -> mdl.LevyModelSpec:
                           f"unknown tag {tag!r}; expected one of "
                           f"{sorted(_MODELS)}")
     cls = _MODELS[tag]
-    params = {f.name: _get_float(kv, f"model.{f.name}") for f in fields(cls)}
+    params = {f.name: _get_number(kv, f"model.{f.name}") for f in fields(cls)}
     try:
         return cls(**params)
     except ValueError as exc:
@@ -161,7 +151,7 @@ def build_payoff(kv: dict):
                           f"unknown kind {kind!r}; expected one of "
                           f"{tuple(_PAYOFFS)}")
     # an abscissa is passed only when set: the catalog holds the defaults
-    absc = _get_float(kv, "payoff.abscissa", required=False)
+    absc = _get_number(kv, "payoff.abscissa", required=False)
     kwargs = {}
     try:
         if kind == "log_contract":
@@ -169,14 +159,14 @@ def build_payoff(kv: dict):
             if absc is not None:
                 kwargs["abscissa_pos"] = absc
             if "payoff.abscissa_neg" in kv:
-                kwargs["abscissa_neg"] = _get_float(kv, "payoff.abscissa_neg")
+                kwargs["abscissa_neg"] = _get_number(kv, "payoff.abscissa_neg")
         else:
-            strike = _get_float(kv, "payoff.strike")
+            strike = _get_number(kv, "payoff.strike")
             args = (strike,)
             if kind == "power_call":
-                args += (_get_int(kv, "payoff.power"),)
+                args += (_get_number(kv, "payoff.power", kind=int),)
             elif kind == "power_call_fractional":
-                args += (_get_float(kv, "payoff.power"),)
+                args += (_get_number(kv, "payoff.power"),)
             if absc is not None:
                 kwargs["abscissa"] = absc
         return _PAYOFFS[kind](*args, **kwargs), strike
@@ -184,11 +174,21 @@ def build_payoff(kv: dict):
         raise ConfigError("payoff.*", str(exc))
 
 
+# every key a run reads; any other key is a typo or a misplaced option
+_KEYS = {*_DEFAULTS, "model.tag", "payoff.kind", "payoff.strike", "payoff.power",
+         "payoff.abscissa", "payoff.abscissa_neg", "hedge.capital", "output.path",
+         *(f"model.{f.name}" for cls in _MODELS.values() for f in fields(cls))}
+
+
 def load_config(args) -> RunConfig:
     kv = dict(_DEFAULTS)
     if args.config:
         kv.update(_parse_kv_file(args.config))
     kv.update(args.overrides)
+    for key in kv:
+        if key not in _KEYS:
+            raise ConfigError(key, "unknown key (--config, --output, --format "
+                              "and --seed go before the command)")
     if args.seed is not None:
         kv["mc.seed"] = str(args.seed)
     if args.output is not None:
@@ -204,24 +204,24 @@ def load_config(args) -> RunConfig:
     fmt = kv["output.format"].lower()
     if fmt not in ("csv", "json"):
         raise ConfigError("output.format", f"expected csv|json, got {fmt!r}")
-    spot = _get_float(kv, "hedge.spot")
-    maturity = _get_float(kv, "hedge.maturity")
+    spot = _get_number(kv, "hedge.spot")
+    maturity = _get_number(kv, "hedge.maturity")
     if spot <= 0:
         raise ConfigError("hedge.spot", "must be > 0")
     if maturity <= 0:
         raise ConfigError("hedge.maturity", "must be > 0")
-    steps = _get_int(kv, "hedge.steps")
+    steps = _get_number(kv, "hedge.steps", kind=int)
     if steps < 1:
         raise ConfigError("hedge.steps", "must be >= 1")
     return RunConfig(
         model=model, payoff=payoff, strike=strike,
         mode=mode, spot=spot, maturity=maturity, steps=steps,
-        capital=_get_float(kv, "hedge.capital", required=False),
-        mc_paths=_get_int(kv, "mc.paths"),
-        mc_steps=_get_int(kv, "mc.steps"),
-        seed=_get_int(kv, "mc.seed"),
+        capital=_get_number(kv, "hedge.capital", required=False),
+        mc_paths=_get_number(kv, "mc.paths", kind=int),
+        mc_steps=_get_number(kv, "mc.steps", kind=int),
+        seed=_get_number(kv, "mc.seed", kind=int),
         antithetic=_get_bool(kv, "mc.antithetic"),
-        tol=_get_float(kv, "quadrature.tol"),
+        tol=_get_number(kv, "quadrature.tol"),
         out_format=fmt, out_path=kv.get("output.path"),
     )
 

@@ -154,6 +154,7 @@ class MomentStrip:
         return self.lo < p < self.hi
 
 
+@functools.lru_cache(maxsize=64)   # models are frozen and hashable
 def strip_of_finiteness(model: LevyModelSpec) -> MomentStrip:
     if isinstance(model, (Gaussian, MertonJD)):
         return MomentStrip(-math.inf, math.inf)
@@ -164,16 +165,6 @@ def strip_of_finiteness(model: LevyModelSpec) -> MomentStrip:
         disc = math.sqrt(model.beta ** 2 + 2.0 * model.alpha)
         return MomentStrip(-model.beta - disc, -model.beta + disc)
     raise UnsupportedModelError(f"unknown model {model!r}")
-
-
-def _check_strip(model: LevyModelSpec, re_z: np.ndarray) -> None:
-    strip = strip_of_finiteness(model)
-    lo = float(np.min(re_z))
-    hi = float(np.max(re_z))
-    if lo <= strip.lo or hi >= strip.hi:
-        raise DomainError(
-            f"Re(z) in [{lo:g}, {hi:g}] outside the open moment strip "
-            f"({strip.lo:g}, {strip.hi:g}) of {type(model).__name__}")
 
 
 # -- hyperbolic branch tracking ---------------------------------------------
@@ -192,6 +183,7 @@ def _check_strip(model: LevyModelSpec, re_z: np.ndarray) -> None:
 
 _HYP_LADDER_CACHE: dict = {}
 _HYP_CACHE_LIMIT = 64
+_HYP_CHUNK = 1024    # rungs per Bessel call, which bounds its working arrays
 
 
 @functools.lru_cache(maxsize=_HYP_CACHE_LIMIT)
@@ -231,17 +223,18 @@ def _hyp_ladder(model: Hyperbolic, R: float, v_max: float):
         return step, args
     n = int(math.ceil(v_max / step)) + 2
     if args is None:
-        _, _, q = _hyp_parts(model, R + 1j * step * np.arange(n + 1))
-        args = continuous_log(q).imag
         if len(_HYP_LADDER_CACHE) >= _HYP_CACHE_LIMIT:
             _HYP_LADDER_CACHE.clear()
-    else:
+        args = np.zeros(1)    # q is real and positive at v = 0
+    pieces = [args]
+    for top in range(args.size - 1, n, _HYP_CHUNK):
         # the top rung is evaluated again so that continuous_log checks the
         # seam; its new phase is moved onto the stored one
-        top = args.size - 1
-        _, _, q = _hyp_parts(model, R + 1j * step * np.arange(top, n + 1))
+        rungs = np.arange(top, min(n, top + _HYP_CHUNK) + 1)
+        _, _, q = _hyp_parts(model, R + 1j * step * rungs)
         more = continuous_log(q).imag
-        args = np.concatenate((args, more[1:] + (args[-1] - more[0])))
+        pieces.append(more[1:] + (pieces[-1][-1] - more[0]))
+    args = np.concatenate(pieces)
     _HYP_LADDER_CACHE[key] = args
     return step, args
 
@@ -289,7 +282,12 @@ def cumulant(model: LevyModelSpec, z):
     """
     scalar = np.ndim(z) == 0
     zz = np.asarray(z, dtype=complex)
-    _check_strip(model, np.atleast_1d(zz.real))
+    strip = strip_of_finiteness(model)
+    lo, hi = zz.real.min(), zz.real.max()
+    if lo <= strip.lo or hi >= strip.hi:
+        raise DomainError(
+            f"Re(z) in [{lo:g}, {hi:g}] outside the open moment strip "
+            f"({strip.lo:g}, {strip.hi:g}) of {type(model).__name__}")
     if isinstance(model, Gaussian):
         out = (model.mu - 0.5 * model.sigma ** 2) * zz + 0.5 * model.sigma ** 2 * zz ** 2
     elif isinstance(model, MertonJD):

@@ -21,7 +21,6 @@ All functions are pure; there is no shared mutable state.
 from __future__ import annotations
 
 import cmath
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -352,58 +351,65 @@ _G7_WEIGHTS = np.array([
 _G7_IDX = np.arange(1, 15, 2)
 
 
-@dataclass
-class _Panel:
-    a: float
-    b: float
-    value: complex
-    error: float
-
-    def __lt__(self, other):  # max-heap by error via negation at push site
-        return self.error > other.error
-
-
-def _eval_panels(fv, bounds_a, bounds_b):
-    """Evaluate K15 on a batch of panels.  fv maps a real array to complex."""
-    a = np.asarray(bounds_a, dtype=float)
-    b = np.asarray(bounds_b, dtype=float)
+def _eval_panels(fv, a, b):
+    """K15 values and |K15 - G7| errors of the panels [a, b], one fv call."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     x = mid[:, None] + half[:, None] * _K15_NODES[None, :]
     y = np.asarray(fv(x.ravel()), dtype=complex).reshape(x.shape)
     ik = half * (y @ _K15_WEIGHTS)
     ig = half * (y[:, _G7_IDX] @ _G7_WEIGHTS)
-    err = np.abs(ik - ig)
-    return [_Panel(a[i], b[i], ik[i], float(err[i])) for i in range(a.size)]
+    return ik, np.abs(ik - ig)
 
 
-def _adapt(fv, a: float, b: float, tol_abs: float, max_evals: int,
-           initial_splits: int = 8):
-    """Adaptively integrate ``fv`` over [a, b].
+def _adapt(fv, intervals, tol_abs: float, max_evals: int):
+    """Adaptively integrate ``fv`` over several intervals at once.
 
-    Returns (value, error, nevals, panels, converged).
+    ``intervals`` holds the initial panel edges of each interval.  Each
+    round splits, in every interval whose error exceeds ``tol_abs``, the
+    fewest worst panels whose errors must go for the rest to meet it, all
+    in one call of ``fv``; a panel too narrow to split counts as exact.
+    The initial panels are always evaluated; splits stop before
+    ``max_evals`` would be passed.  Returns ``(values, errors, nevals,
+    edges)``: ``nevals`` in total, the rest per interval.
     """
-    edges = np.linspace(a, b, initial_splits + 1)
-    panels = _eval_panels(fv, edges[:-1], edges[1:])
-    nevals = 15 * len(panels)
-    heap = list(panels)
-    heapq.heapify(heap)
-    total_err = sum(p.error for p in heap)
-    while total_err > tol_abs and nevals + 30 <= max_evals:
-        worst = heapq.heappop(heap)
-        if worst.b - worst.a <= 1e-14 * (abs(worst.a) + abs(worst.b) + 1.0):
-            # panel cannot be meaningfully split further
-            heapq.heappush(heap, _Panel(worst.a, worst.b, worst.value, 0.0))
-            total_err -= worst.error
+    ids = np.arange(len(intervals))
+    owner = np.repeat(ids, [len(e) - 1 for e in intervals])
+    a = np.concatenate([e[:-1] for e in intervals])
+    b = np.concatenate([e[1:] for e in intervals])
+    val, err = _eval_panels(fv, a, b)
+    nevals = 15 * a.size
+    while True:
+        # worst first within each interval; a panel is split while the
+        # error it and the panels better than it leave exceeds tol_abs
+        order = np.lexsort((-err, owner))
+        groups = np.split(order, np.searchsorted(owner[order], ids[1:]))
+        split = np.concatenate([g[np.cumsum(err[g][::-1])[::-1] > tol_abs]
+                                for g in groups])
+        narrow = b[split] - a[split] <= 1e-14 * (np.abs(a[split])
+                                                 + np.abs(b[split]) + 1.0)
+        if narrow.any():
+            err[split[narrow]] = 0.0
             continue
-        m = 0.5 * (worst.a + worst.b)
-        children = _eval_panels(fv, [worst.a, m], [m, worst.b])
-        nevals += 30
-        total_err += children[0].error + children[1].error - worst.error
-        heapq.heappush(heap, children[0])
-        heapq.heappush(heap, children[1])
-    value = sum(p.value for p in heap)
-    return value, total_err, nevals, list(heap), total_err <= tol_abs
+        room = max(0, max_evals - nevals) // 30
+        split = split[np.argsort(-err[split])[:room]]
+        if not split.size:
+            break
+        m = 0.5 * (a[split] + b[split])
+        ca, cb = np.concatenate((a[split], m)), np.concatenate((m, b[split]))
+        cv, ce = _eval_panels(fv, ca, cb)
+        nevals += 30 * split.size
+        owner, a, b, val, err = (
+            np.concatenate((np.delete(x, split), y)) for x, y in
+            ((owner, np.tile(owner[split], 2)), (a, ca), (b, cb), (val, cv),
+             (err, ce)))
+    order = np.lexsort((a, owner))
+    owner, a, b, val, err = (x[order] for x in (owner, a, b, val, err))
+    starts = np.searchsorted(owner, ids)
+    edges = [np.append(ai, bi[-1]) for ai, bi in
+             zip(np.split(a, starts[1:]), np.split(b, starts[1:]))]
+    return (np.add.reduceat(val, starts), np.add.reduceat(err, starts).tolist(),
+            nevals, edges)
 
 
 def _wrap_integrand(integrand, abscissa: float, conjugate_symmetric: bool):
@@ -441,15 +447,9 @@ def contour_integrate(integrand, contour: ContourSpec, *,
     returned with ``converged=False``.
     """
     fv = _wrap_integrand(integrand, contour.abscissa, conjugate_symmetric)
-    budget = contour.node_budget
-    value, err, nevals, _, _ = _adapt(fv, 0.0, contour.truncation,
-                                      tol_abs, budget)
-    target = max(tol_abs, tol_rel * abs(value))
-    if err > target and nevals < budget:
-        # re-tighten with the relative target now that the scale is known
-        value, err, nevals2, _, _ = _adapt(
-            fv, 0.0, contour.truncation, target, budget - nevals)
-        nevals += nevals2
+    (value,), (err,), nevals, _ = _adapt(
+        fv, [np.linspace(0.0, contour.truncation, 9)], tol_abs,
+        contour.node_budget)
     converged = err <= max(tol_abs, tol_rel * abs(value))
     return QuadratureResult(value, err, nevals, converged)
 
@@ -469,31 +469,37 @@ def bromwich_integrate(integrand, abscissa: float, *,
     contributions fall below ``dead_tol_factor * tol_abs`` at a height of
     at least ``c_start``, or the truncation cap / node budget is hit.  A
     short first segment keeps its panels fine enough for the bulk near
-    ``v = 0`` however tall ``c_start`` is.  The observed segment
+    ``v = 0`` however tall ``c_start`` is, and its first panel is graded
+    towards ``v = 0``, where payoff poles sit closest to the contour.  The
+    segments up to ``c_start`` are always needed, so they are adapted
+    together; beyond it, one segment at a time.  The observed segment
     contribution is itself the tail estimate: valid for damped and
-    oscillatory-algebraic integrands alike.  With
-    ``external_tail`` the caller completes the tail analytically (see the
-    payoff engine), so no segment-based tail heuristic is added.  Returns
-    ``(result, height)``, the height being where the run stopped.
+    oscillatory-algebraic integrands alike.  With ``external_tail`` the
+    caller completes the tail analytically (see the payoff engine), so no
+    segment-based tail heuristic is added.  Returns ``(result, height)``,
+    the height being where the run stopped.
     """
     fv = _wrap_integrand(integrand, abscissa, True)
+    hi = min(64.0, c_start, truncation_cap)
+    segments = [np.append(hi / 8.0 * np.array([0.0, 1 / 16, 1 / 8, 1 / 4, 0.5]),
+                          np.linspace(hi / 8.0, hi, 8))]
+    while hi < c_start and hi < 0.999999 * truncation_cap:
+        lo, hi = hi, min(2.0 * hi, truncation_cap)
+        segments.append(np.linspace(lo, hi, 9))
     value = 0.0 + 0j
     err = 0.0
     nevals = 0
-    lo, hi = 0.0, min(64.0, c_start, truncation_cap)
     small_streak = 0
     converged = True
     while True:
-        seg_tol = 0.1 * tol_abs
-        v, e, ne, _, _ = _adapt(fv, lo, hi, seg_tol, node_budget - nevals,
-                                initial_splits=8)
-        value += v
-        err += e
+        vals, errs, ne, _ = _adapt(fv, segments, 0.1 * tol_abs,
+                                   node_budget - nevals)
         nevals += ne
-        if abs(v) < dead_tol_factor * tol_abs:
-            small_streak += 1
-        else:
-            small_streak = 0
+        err += sum(errs)
+        for v in vals:
+            value += v
+            small = abs(v) < dead_tol_factor * tol_abs
+            small_streak = small_streak + 1 if small else 0
         at_cap = hi >= 0.999999 * truncation_cap
         if (small_streak >= 2 and hi >= c_start) or at_cap:
             if not external_tail:
@@ -505,6 +511,7 @@ def bromwich_integrate(integrand, abscissa: float, *,
             converged = False
             break
         lo, hi = hi, min(2.0 * hi, truncation_cap)
+        segments = [np.linspace(lo, hi, 9)]
     result = QuadratureResult(value, err, nevals,
                               converged and err <= 5.0 * tol_abs + 1e-300)
     return result, hi
@@ -529,30 +536,20 @@ def _axis_layout(kernel, cy: ContourSpec, cz: ContourSpec, tol_abs: float,
     if which == "y":
         c, other_c, budget = cy.truncation, cz.truncation, cy.node_budget
 
-        def at(v, v_other):
-            y = Ry + 1j * np.asarray(v)
-            return kernel(y, np.full_like(y, Rz + 1j * v_other))
-
-        def anti(v):
-            v = np.asarray(v)
-            return kernel(Ry + 1j * v, Rz - 1j * v)
+        def at(v, w):   # the kernel with this axis at v, the other at w
+            return kernel(Ry + 1j * v, Rz + 1j * w)
     else:
         c, other_c, budget = cz.truncation, cy.truncation, cz.node_budget
 
-        def at(v, v_other):
-            z = Rz + 1j * np.asarray(v)
-            return kernel(np.full_like(z, Ry + 1j * v_other), z)
-
-        def anti(v):
-            v = np.asarray(v)
-            return kernel(Ry - 1j * v, Rz + 1j * v)
+        def at(v, w):
+            return kernel(Ry + 1j * w, Rz + 1j * v)
 
     def fv(v):
-        return (np.abs(at(v, 0.0)) + np.abs(at(v, -other_c / 3.0))
-                + np.abs(anti(v)))
+        w = np.zeros_like(v)
+        return (np.abs(at(v, w)) + np.abs(at(v, w - other_c / 3.0))
+                + np.abs(at(v, -v)))
 
-    _, _, _, panels, _ = _adapt(fv, 0.0, c, tol_abs, budget)
-    edges = np.unique(np.concatenate([[p.a, p.b] for p in panels]))
+    edges = _adapt(fv, [np.linspace(0.0, c, 9)], tol_abs, budget)[3][0]
     if math.isfinite(max_width):
         pieces = [edges]
         for a, b in zip(edges[:-1], edges[1:]):

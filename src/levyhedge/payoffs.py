@@ -380,7 +380,7 @@ _LINE_NODES = 400_000    # node budget of one line integral
 
 
 def _height_plan(line: Line, s_values, tol_abs: float, cap: float = _NO_CAP):
-    """Per-point truncation heights and tail-correction flags.
+    """Per-point truncation heights, tail-correction flags and direct tails.
 
     The integrand along the line behaves like an envelope of size
     ``A_eff / v^p`` times the oscillation ``exp(i v x)``, ``x = log(s/K)``.
@@ -391,7 +391,8 @@ def _height_plan(line: Line, s_values, tol_abs: float, cap: float = _NO_CAP):
     oscillation and the direct envelope bound sets the height (for p <= 1
     the conjugate pairing leaves an ``A_eff max(1,|R|) / v^2`` real part).
     Whichever admissible height is smaller wins; ``correct`` marks the
-    points that rely on the completion.
+    points that rely on the completion, and ``tails`` is the direct
+    envelope bound on the tail beyond each height.
     """
     amp = line.density_amplitude()
     p = line.decay_power
@@ -416,7 +417,9 @@ def _height_plan(line: Line, s_values, tol_abs: float, cap: float = _NO_CAP):
     c_osc = np.where(xs >= _X_FLOOR, c_osc, np.inf)
     correct = c_osc < c_direct
     heights = np.clip(np.where(correct, c_osc, c_direct), 64.0, cap)
-    return heights, correct & (heights < cap * 0.999)
+    tails = (a_eff / ((p - 1.0) * heights ** (p - 1.0)) if p > 1.0
+             else a_eff * max(1.0, abs(R)) / heights)
+    return heights, correct & (heights < cap * 0.999), tails
 
 
 def tail_completion(line: Line, s_sel, cs, weight3=None):
@@ -482,18 +485,22 @@ def _line_integral(line: Line, weight, s: float, tol_abs: float,
         w = weight(z) if weight is not None else 1.0
         return line.density(z) * np.exp(z * ln_s) * w
 
-    heights, corr = _height_plan(line, [s], tol_abs)
+    heights, corr, tails = _height_plan(line, [s], tol_abs)
+    c = float(heights[0])
     use_corr = bool(corr[0])
-    if use_corr:
-        c_start = min(max(64.0, _CX_MIN / abs(x)), float(heights[0]))
-    else:
-        c_start = 64.0
+    # a direct height clipped up to 64 ends the run at its cap after one
+    # segment, whose whole value is no tail estimate; the envelope bound is
+    floored = not use_corr and c <= 64.0
+    c_start = min(max(64.0, _CX_MIN / abs(x)), c) if use_corr else 64.0
     res, c_stop = bromwich_integrate(
         integrand, line.abscissa, tol_abs=tol_abs,
-        node_budget=node_budget, truncation_cap=float(heights[0]),
-        c_start=c_start,
+        node_budget=node_budget, truncation_cap=c, c_start=c_start,
         dead_tol_factor=1e-3 if use_corr else 0.5,
-        external_tail=use_corr)
+        external_tail=use_corr or floored)
+    if floored:
+        err = res.error_estimate + float(tails[0])
+        res = QuadratureResult(res.value, err, res.nodes_used,
+                               res.converged and err <= 5.0 * tol_abs)
     if use_corr and c_stop * abs(x) >= 0.9 * _CX_MIN:
         tail, resid = tail_completion(line, [s], [c_stop], weight)
         res = QuadratureResult(res.value + float(tail[0]),
@@ -568,7 +575,7 @@ def _planned_edges(line: Line, s_grid: np.ndarray, tol_abs: float, cap: float):
     ``(edges, c_per_s, correct_mask)``.
     """
     xs = np.abs(np.log(s_grid) - math.log(line.strike_scale))
-    heights, correct = _height_plan(line, s_grid, tol_abs, cap)
+    heights, correct, _ = _height_plan(line, s_grid, tol_abs, cap)
     c_per_s = np.minimum(heights, cap)
     c_max = float(np.max(c_per_s))
     order = np.argsort(c_per_s)          # retirement order
@@ -824,17 +831,15 @@ def _far_ridge_integral(pair_kernel, Ry, Rz, c: float, tol_abs: float):
                                     pair_kernel.along_sum(y + z))
             return vals[:n] + vals[n:]
 
-        U = 256.0
-        val = 0.0 + 0j
-        err = 0.0
-        lo = 0.0
-        while U <= 4.0e6:
-            seg, e, _, _, _ = numerics._adapt(fu_pair, lo, U, inner_tol, 40_000, 8)
+        val, err, lo = 0.0 + 0j, 0.0, 0.0
+        for U in (256.0 * 2.0 ** np.arange(14)).tolist():   # up to 2.1e6
+            (seg,), (e,), _, _ = numerics._adapt(
+                fu_pair, [np.linspace(lo, U, 9)], inner_tol, 40_000)
             val += seg
             err += e
             if abs(seg) < inner_tol:
                 break
-            lo, U = U, 2.0 * U
+            lo = U
         return val, err
 
     # outer integral on v = c e^t

@@ -213,6 +213,28 @@ def test_missing_key_reported(capsys):
     assert "payoff.kind" in err
 
 
+@pytest.mark.parametrize("where, key", [("override", "hedge.spto"),
+                                        ("override", "output"),
+                                        ("file", "hedge.spto")])
+def test_unknown_key_rejected(cfg_path, tmp_path, monkeypatch, capsys,
+                              where, key):
+    # a misspelt key, or --output placed after the command, must not be
+    # dropped silently
+    monkeypatch.chdir(tmp_path)
+    value = "out.csv" if key == "output" else "120"
+    if where == "file":
+        path = tmp_path / "typo.cfg"
+        path.write_text(NIG_CFG + f"{key} = {value}\n")
+        argv = ("--config", str(path), "price")
+    else:
+        argv = ("--config", cfg_path, "price", f"--{key}", value)
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1
+    assert out == ""
+    assert f"'{key}'" in err and "unknown key" in err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_output_file(cfg_path, tmp_path, capsys):
     dest = tmp_path / "out.csv"
     rc, out, _ = run(capsys, "--config", cfg_path, "--output", str(dest),

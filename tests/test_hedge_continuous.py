@@ -6,6 +6,7 @@ import pytest
 import levyhedge as lh
 from levyhedge import hedge as hc
 from levyhedge import models as mdl
+from levyhedge import numerics
 from levyhedge.payoffs import PointMass, TransformMeasure
 from levyhedge.simulate import PathGrid
 
@@ -238,6 +239,41 @@ def test_gains_explicit_matches_recursion():
             assert np.max(np.abs(res.gains - res.gains_recursive)) \
                 <= 1e-9 * scale
             assert res.gains[0] == 0.0
+
+
+def test_gains_explicit_low_moment_call_matches_call():
+    # the low-moment call's point mass reaches the table through the
+    # per-spot rate path of the gains evaluation
+    co = lh.coefficients_ct(MERTON, 0.25)
+    path = _simulated_path(MERTON, 0.25, 64, 4)
+    ref = lh.gains_explicit(co, lh.call(99.0), path, 100.0)
+    low = lh.gains_explicit(co, lh.call_low_moment(99.0), path, 100.0)
+    scale = np.max(np.abs(ref.gains)) + 1e-12
+    assert np.max(np.abs(low.gains - ref.gains)) <= 1e-9 * scale
+    assert np.allclose(low.hedge_ratios, ref.hedge_ratios, rtol=0, atol=1e-9)
+
+
+def test_reference_quotes_take_one_integrand_call_each(monkeypatch):
+    # a quote adapts every segment up to its start height in shared rounds:
+    # one or two integrand calls, not one per split panel
+    payoff = lh.call(99.0)
+    co_ct = lh.coefficients_ct(NIG_FIT, 0.25)
+    co_12 = lh.coefficients(NIG_FIT, 0.25, 12)
+    calls = []
+    inner = numerics._eval_panels
+
+    def spy(fv, a, b):
+        calls.append(a.size)
+        return inner(fv, a, b)
+
+    monkeypatch.setattr(numerics, "_eval_panels", spy)
+    for quote, want in ((lambda: lh.xi_ct(co_ct, payoff, 100.0, 0.0),
+                         0.556191857642),
+                        (lambda: lh.initial_capital(co_12, payoff, 100.0),
+                         4.446886786020)):
+        calls.clear()
+        assert quote() == pytest.approx(want, abs=1e-11)
+        assert 1 <= len(calls) <= 2
 
 
 def test_gains_martingale_reduces_to_plain_integral():

@@ -21,6 +21,7 @@ from levyhedge.models import (
     sample_increments,
     strip_of_finiteness,
 )
+from levyhedge.numerics import continuous_log
 
 GAUSS = Gaussian(mu=0.08, sigma=0.2)
 MERTON = MertonJD(mu=0.05, sigma=0.15, jump_intensity=0.8,
@@ -237,6 +238,19 @@ def test_hyperbolic_ladder_extension_matches_cold_build():
     assert np.all(np.abs(warm - cold) <= 1e-13 * np.abs(cold))
     sheets = np.round((warm.imag - cold.imag) / (2.0 * math.pi))
     assert np.all(sheets == 0)
+
+
+def test_hyperbolic_ladder_grown_in_chunks_matches_one_call():
+    # a tall first request grows its ladder _HYP_CHUNK rungs per Bessel
+    # call; the rungs must be those of one continuous_log over all of them
+    R = 1.2
+    mdl._HYP_LADDER_CACHE.clear()
+    step, ladder = mdl._hyp_ladder(HYP, R, 700.0)
+    assert ladder.size > 4 * mdl._HYP_CHUNK
+    _, _, q = mdl._hyp_parts(HYP, R + 1j * step * np.arange(ladder.size))
+    cold = continuous_log(q).imag
+    assert np.all(np.abs(ladder - cold) <= 1e-13 * np.maximum(1.0,
+                                                              np.abs(cold)))
 
 
 def test_hyperbolic_winding_actually_happens():

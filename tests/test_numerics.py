@@ -318,11 +318,68 @@ def test_refinement_convergence_budget_doubling():
     assert abs(big.value - small.value) <= small.error_estimate + 1e-15
 
 
+def test_budget_between_split_steps_keeps_the_refined_result():
+    # a budget that is no multiple of a split's 30 nodes must not swap the
+    # refined result for a coarse one, nor spend more than it allows
+    f = _call_density_integrand(2.0)
+    ref = contour_integrate(f, ContourSpec(2.0, 400.0, 480), tol_abs=1e-14,
+                            conjugate_symmetric=True)
+    for budget in (490, 500):
+        res = contour_integrate(f, ContourSpec(2.0, 400.0, budget),
+                                tol_abs=1e-14, conjugate_symmetric=True)
+        assert res.nodes_used <= budget
+        assert abs(res.value.real - 1.0) <= 2.0 * abs(ref.value.real - 1.0)
+
+
 def test_bromwich_self_truncation_matches_fixed_segment():
     f = _call_density_integrand(2.0)
     res, height = bromwich_integrate(f, 2.0, tol_abs=1e-9, truncation_cap=1e8)
     assert res.value.real == pytest.approx(1.0, abs=5e-7)
     assert 64.0 <= height <= 1e8
+
+
+def _peak(v):
+    # a Lorentzian peak of width 1e-3 at v = 2.3: int_a^b has a closed form
+    return 1.0 / (1e-6 + (v - 2.3) ** 2) + 0j
+
+
+def _peak_integral(a, b):
+    return (math.atan((b - 2.3) / 1e-3) - math.atan((a - 2.3) / 1e-3)) / 1e-3
+
+
+def test_adapt_rounds_cover_the_interval_within_the_budget():
+    for budget in (100, 120, 600, 1830, 200_000):
+        (value,), (err,), nevals, (edges,) = numerics._adapt(
+            _peak, [np.linspace(0.0, 10.0, 9)], 1e-9, budget)
+        # the 8 initial panels (120 nodes) are always evaluated
+        assert nevals <= max(budget, 120)
+        assert edges[0] == 0.0 and edges[-1] == 10.0
+        assert np.all(np.diff(edges) > 0.0)
+        # K15 on the final edges gives the reported value and error
+        v, e = numerics._eval_panels(_peak, edges[:-1], edges[1:])
+        assert v.sum() == pytest.approx(value, rel=1e-14)
+        assert abs(e.sum() - err) <= 1e-14 * abs(value)
+    # with the full budget the peak is resolved within the estimate
+    exact = _peak_integral(0.0, 10.0)
+    assert err <= 1e-9
+    assert abs(value - exact) <= err + 1e-12 * exact
+
+
+def test_adapt_intervals_run_together_equal_separate_runs():
+    cuts = [np.linspace(0.0, 1.0, 9), np.linspace(1.0, 3.0, 9),
+            np.array([3.0, 3.5, 10.0])]
+    values, errors, nevals, edges = numerics._adapt(_peak, cuts, 1e-8,
+                                                    200_000)
+    total = 0
+    for i, c in enumerate(cuts):
+        (v,), (e,), n, (ed,) = numerics._adapt(_peak, [c], 1e-8, 200_000)
+        assert np.array_equal(ed, edges[i])
+        assert values[i] == pytest.approx(v, rel=1e-15, abs=1e-300)
+        # |K15 - G7| cancels: its rounding is that of the value
+        assert abs(errors[i] - e) <= 1e-14 * abs(v)
+        assert abs(v - _peak_integral(c[0], c[-1])) <= e + 1e-12 * abs(v)
+        total += n
+    assert nevals == total
 
 
 def test_double_contour_zero_kernel():

@@ -27,6 +27,12 @@ def test_call_examples():
     assert reconstruct(m, 0.5) == pytest.approx(0.0, abs=1e-8)
 
 
+def test_scaled_low_moment_call_scales_its_point_mass():
+    m = 2.0 * lh.call_low_moment(99.0)
+    assert reconstruct(m, 120.0) == pytest.approx(42.0, abs=1e-7)
+    assert reconstruct(m, 80.0) == pytest.approx(0.0, abs=1e-7)
+
+
 def test_put_examples():
     m = lh.put(1.0)
     assert reconstruct(m, 0.5) == pytest.approx(0.5, abs=1e-8)
@@ -174,7 +180,7 @@ def test_pv_doubling_stability_off_strike():
     line = lh.digital(1.0).lines()[0]
     vals = {}
     for mult in (1.0, 2.0):
-        heights, _ = po._height_plan(line, [2.0], 1e-9)
+        heights, _, _ = po._height_plan(line, [2.0], 1e-9)
         c = float(heights[0]) * mult
         ln_s = math.log(2.0)
 
@@ -182,7 +188,8 @@ def test_pv_doubling_stability_off_strike():
             return line.density(z) * np.exp(z * ln_s)
 
         fv = po.numerics._wrap_integrand(f, line.abscissa, True)
-        v, e, _, _, _ = po.numerics._adapt(fv, 0.0, c, 1e-11, 600_000, 16)
+        (v,), _, _, _ = po.numerics._adapt(fv, [np.linspace(0.0, c, 17)],
+                                           1e-11, 600_000)
         tail, _ = po.tail_completion(line, [2.0], [c])
         vals[mult] = v.real + tail[0]
     assert abs(vals[1.0] - vals[2.0]) <= 1e-8
