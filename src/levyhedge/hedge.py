@@ -24,9 +24,9 @@ and the error variance is the double integral of
 
 with the degenerate a == m branch equal to N m^(N-1) b.  The geometric sum
 is the direct quotient, with a^N taken from per-node roots of a; within
-1e-3 of the degeneracy it is evaluated in the stable normalized form
-m^(N-1) N q(a/m - 1) with q(r) = ((1+r)^N - 1)/(N r), which passes
-smoothly through it.
+1e-3 of the degeneracy it is N m^(N-1) E(N L) / E(L) with L = log(a/m)
+and E(w) = (e^w - 1)/w, E(0) = 1, which passes smoothly through it.  The
+same E carries the continuous kernel's degenerate branch below.
 
 Continuous rebalancing, driven by the cumulant function ``kappa``:
 
@@ -132,6 +132,17 @@ class ForbiddenJumpError(ValueError):
 # kernel, or None when the market is complete).
 # ---------------------------------------------------------------------------
 
+def _exp_diff_quotient(w):
+    """E(w) = (e^w - 1)/w, with E(0) = 1: the difference quotient of exp
+    through which both error-variance kernels cross their degenerate
+    branch."""
+    w = np.asarray(w, dtype=complex)
+    out = np.ones_like(w)
+    live = w != 0.0
+    out[live] = np.expm1(w[live]) / w[live]
+    return out
+
+
 @dataclass(frozen=True)
 class DiscreteHedgeCoefficients:
     """Closures g, h and the feedback constant for one (model, T, N)."""
@@ -177,83 +188,32 @@ class DiscreteHedgeCoefficients:
         return weight
 
     @staticmethod
-    def _geometric_sum_q(r: np.ndarray, n: int) -> np.ndarray:
-        """q(r) = ((1+r)^n - 1)/(n r), with q(0) = 1.
-
-        Series via log1p/expm1 for small r keeps full precision through the
-        a == m degeneracy; |r| < 1e-8 snaps to the limit value 1.
-        """
-        r = np.asarray(r, dtype=complex)
-        out = np.ones_like(r)
-        tiny = np.abs(r) < 1e-8
-        small = (~tiny) & (np.abs(r) < 1e-3)
-        if np.any(small):
-            rs = r[small]
-            # log1p and expm1 for complex, truncated well below 1e-16
-            l1p = rs * (1.0 - rs * (0.5 - rs * (1.0 / 3.0 - rs * (0.25 - rs / 5.0))))
-            w = n * l1p
-            e1m = w * (1.0 + w * (0.5 + w * (1.0 / 6.0 + w * (1.0 / 24.0 + w / 120.0))))
-            out[small] = e1m / (n * rs)
-        big = ~(tiny | small)
-        if np.any(big):
-            rb = r[big]
-            out[big] = ((1.0 + rb) ** n - 1.0) / (n * rb)
-        return out
-
-    @staticmethod
-    def _geometric_sum(a: np.ndarray, m: np.ndarray, n: int,
-                       log_m=None) -> np.ndarray:
-        """(a^n - m^n)/(a - m), guarded against under/overflowed arguments.
-
-        Evaluated as m^(n-1) n q(a/m - 1) in the generic regime; where one
-        argument utterly dominates, as the exact ratio m^(n-1) (1 - rho^n) /
-        (1 - rho) in the small ratio rho (a/m, or m/a with the roles
-        swapped), and where both have underflowed (n >= 2) it vanishes.
-        ``log_m`` (a log of m, any branch) turns the m-power into a single
-        exp.
-        """
-        if n == 1:
-            return np.ones_like(a)
-        out = np.zeros_like(a)
-        live = np.maximum(np.abs(a), np.abs(m)) > 1e-280
-        aa, mm = a[live], m[live]
-        res = np.empty_like(aa)
-        # dominance threshold keeps |a/m|^n and its reciprocal representable
-        thresh = 10.0 ** min(12.0, 250.0 / n)
-        big_a = np.abs(aa) > thresh * np.abs(mm)
-        big_m = np.abs(mm) > thresh * np.abs(aa)
-        mid = ~(big_a | big_m)
-        if log_m is None:
-            m_pow = mm ** (n - 1)
-        else:
-            m_pow = np.exp((n - 1) * log_m[live])
-        rho = mm[big_a] / aa[big_a]
-        res[big_a] = aa[big_a] ** (n - 1) * ((1.0 - rho ** n) / (1.0 - rho))
-        rho = aa[big_m] / mm[big_m]
-        res[big_m] = m_pow[big_m] * ((1.0 - rho ** n) / (1.0 - rho))
-        r = aa[mid] / mm[mid] - 1.0
-        res[mid] = m_pow[mid] * n * DiscreteHedgeCoefficients._geometric_sum_q(r, n)
-        out[live] = res
-        return out
-
-    @staticmethod
     def _geometric_ratio(a, a_pow, m, m_pow, log_m, n: int):
         """(a^n - m^n)/(a - m) cell by cell, given ``a_pow`` = a^n and
         ``m_pow`` = m^n = exp(n log_m).
 
-        The direct quotient holds wherever a and m are apart; cells within
-        1e-3 of the degeneracy a == m, or where the quotient is not finite,
-        go through :meth:`_geometric_sum`.
+        The direct quotient holds wherever a and m are apart.  Cells within
+        1e-3 of the degeneracy a == m are n m^(n-1) E(n L) / E(L) with
+        L = log(a/m); cells where both a and m have underflowed vanish.
         """
         if n == 1:
             return np.ones(np.shape(m), dtype=complex)
         d = a - m
         with np.errstate(all="ignore"):
             out = (a_pow - m_pow) / d
-            near = ~(np.abs(d) >= 1e-3 * np.abs(m)) | ~np.isfinite(out)
-        if near.any():
-            out[near] = DiscreteHedgeCoefficients._geometric_sum(
-                a[near], m[near], n, log_m[near])
+            near = ~(np.abs(d) >= 1e-3 * np.abs(m))
+            # the sum vanishes where a and m have both underflowed, which
+            # leaves 0/0 or a near cell
+            dead = near | ~np.isfinite(out)
+            dead[dead] = np.maximum(np.abs(a[dead]), np.abs(m[dead])) <= 1e-280
+            out[dead] = 0.0
+            near &= ~dead
+            if near.any():
+                r = d[near] / m[near]
+                # log1p(r), which numpy's complex log1p loses to rounding
+                L = r * (1.0 - r * (0.5 - r * (1.0 / 3.0 - r * (0.25 - r / 5.0))))
+                out[near] = (n * np.exp((n - 1) * log_m[near])
+                             * _exp_diff_quotient(n * L) / _exp_diff_quotient(L))
         return out
 
     def _pair_kernel(self, S0):
@@ -335,23 +295,6 @@ class ContinuousHedgeCoefficients:
 
         return weight
 
-    @staticmethod
-    def _exp_diff_quotient(w):
-        """(e^w - 1)/w, stable through w = 0.
-
-        Series below |w| = 1e-3 (error far under machine precision), exact
-        limit 1 at 0; this is the analytic continuation across the
-        degenerate branch of the error-variance kernel.
-        """
-        w = np.asarray(w, dtype=complex)
-        out = np.ones_like(w)
-        near = np.abs(w) < 1e-3
-        ws = w[near]
-        out[near] = 1.0 + ws * (0.5 + ws * (1.0 / 6.0 + ws * (1.0 / 24.0 + ws / 120.0)))
-        far = ~near
-        out[far] = (np.exp(w[far]) - 1.0) / w[far]
-        return out
-
     def _pair_kernel(self, S0):
         model, T = self.model, self.T
         k1, den = self.k1, self.den
@@ -398,14 +341,10 @@ class ContinuousHedgeCoefficients:
             near = np.abs(w) < 1e-3
             if near.any():
                 # T e^{kappa T} (e^w - 1)/w, which is T e^{kappa T} at w = 0
-                quot[near] = T * e_k[near] * self._exp_diff_quotient(w[near])
+                quot[near] = T * e_k[near] * _exp_diff_quotient(w[near])
             return (s0y * s0z) * beta * quot
 
         return po.PairKernel(axis_data, axis_data, along_sum, pair)
-
-
-_geometric_sum = DiscreteHedgeCoefficients._geometric_sum
-_exp_diff_quotient = ContinuousHedgeCoefficients._exp_diff_quotient
 
 
 def _check_horizon(model: mdl.LevyModelSpec, T: float) -> None:
@@ -459,8 +398,7 @@ def _quote(coeffs, payoff: po.TransformMeasure, spot: float, when,
     """H (or, with ``ratio``, xi) at date or time ``when`` and ``spot``."""
     weight = coeffs._quote_weight(when, ratio)
     _admissible_or_raise(coeffs, payoff)
-    res = po.integrate_measure(payoff, spot, weight, tol_abs=tol * (1.0 + spot),
-                               warn=False)
+    res = po.integrate_measure(payoff, spot, weight, tol_abs=tol * (1.0 + spot))
     if not res.converged:
         # at the caller of the public quote function
         warnings.warn("quadrature tolerance not met; result is flagged",
@@ -516,10 +454,10 @@ def error_variance(coeffs: DiscreteHedgeCoefficients | ContinuousHedgeCoefficien
     for either time kernel.
 
     In continuous time the exponential difference quotient is evaluated
-    as T e^(kappa T) (e^w - 1)/w with w = (alpha - kappa) T, by its series
-    for |w| < 1e-3 (exactly T e^(kappa T) at w = 0); a complete market
-    gives exactly 0 without quadrature.  The result is clamped to 0 down
-    to -1e-8 * max(1, S0)^2 (a variance computed by oscillatory quadrature
+    as T e^(kappa T) E(w) with w = (alpha - kappa) T for |w| < 1e-3
+    (exactly T e^(kappa T) at w = 0); a complete market gives exactly 0
+    without quadrature.  The result is clamped to 0 down to
+    -1e-8 * max(1, S0)^2 (a variance computed by oscillatory quadrature
     may come out at a tiny negative); materially below that is a
     quadrature failure and raises :class:`NegativeVarianceError`.
     """
@@ -529,7 +467,7 @@ def error_variance(coeffs: DiscreteHedgeCoefficients | ContinuousHedgeCoefficien
         res = QuadratureResult(0.0 + 0j, 0.0, 3, True)
     else:
         res = po.double_integrate_measure(payoff, kernel,
-                                          tol_abs=tol * (1.0 + S0), warn=False)
+                                          tol_abs=tol * (1.0 + S0))
         if not res.converged:
             warnings.warn("double quadrature tolerance not met; result flagged",
                           po.QuadratureWarning, stacklevel=2)

@@ -105,7 +105,6 @@ class Line:
 
     abscissa: float
     density: Callable[[np.ndarray], np.ndarray]
-    principal_value: bool = False
     decay_power: float = 2.0
     strike_scale: float = 1.0
 
@@ -129,10 +128,6 @@ class TransformMeasure:
     analytic: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
-        n_pv = sum(1 for c in self.components
-                   if isinstance(c, Line) and c.principal_value)
-        if n_pv > 1:
-            raise ValueError("at most one principal-value line per measure")
         pms = [c for c in self.components if isinstance(c, PointMass)]
         for pm in pms:
             if pm.location.imag == 0.0:
@@ -325,8 +320,7 @@ def digital(strike: float, abscissa: float = 0.5) -> TransformMeasure:
     def density(z):
         return K ** (-z) / (_TWO_PI * z)
 
-    line = Line(abscissa, density, principal_value=True,
-                decay_power=1.0, strike_scale=K)
+    line = Line(abscissa, density, decay_power=1.0, strike_scale=K)
 
     def indicator(s):
         return np.where(s > K, 1.0, np.where(s == K, 0.5, 0.0))
@@ -511,13 +505,14 @@ def _line_integral(line: Line, weight, s: float, tol_abs: float,
 
 
 def integrate_measure(measure: TransformMeasure, s: float, weight=None, *,
-                      tol_abs: float = 1e-9,
-                      warn: bool = True) -> QuadratureResult:
+                      tol_abs: float = 1e-9) -> QuadratureResult:
     """``sum over Pi of s^z * weight(z)``: the workhorse behind payoff
     reconstruction, prices and hedge ratios.
 
     ``weight`` is a vectorized complex map (or None for the identity); it
-    must be conjugate-symmetric, as all cumulant-built weights are.
+    must be conjugate-symmetric, as all cumulant-built weights are.  A
+    missed tolerance is flagged, not warned about: the public entry points
+    warn at their caller.
     """
     if s <= 0.0:
         raise ValueError(f"s must be > 0, got {s}")
@@ -534,9 +529,6 @@ def integrate_measure(measure: TransformMeasure, s: float, weight=None, *,
     for pm in measure.point_masses():
         w = weight(np.asarray(pm.location)) if weight is not None else 1.0
         total += pm.weight * s ** pm.location * w
-    if warn and not converged:
-        warnings.warn("quadrature tolerance not met; result is flagged",
-                      QuadratureWarning, stacklevel=2)
     return QuadratureResult(total, err, nodes, converged)
 
 
@@ -550,6 +542,9 @@ def evaluate_payoff(measure: TransformMeasure, s: float, *,
     if not measure.components:
         return 0.0
     res = integrate_measure(measure, s, None, tol_abs=tol_abs)
+    if not res.converged:
+        warnings.warn("quadrature tolerance not met; result is flagged",
+                      QuadratureWarning, stacklevel=2)
     val = res.value
     if abs(val.imag) > 1e-10 * (1.0 + abs(val.real)):
         warnings.warn(
@@ -867,8 +862,7 @@ def _far_ridge_integral(pair_kernel, Ry, Rz, c: float, tol_abs: float):
 
 
 def double_integrate_measure(measure: TransformMeasure, kernel, *,
-                             tol_abs: float = 1e-8,
-                             warn: bool = True) -> QuadratureResult:
+                             tol_abs: float = 1e-8) -> QuadratureResult:
     """``integral of kernel(y, z) Pi(dy) Pi(dz)`` for a symmetric kernel.
 
     ``kernel`` is a :class:`PairKernel`, symmetric in (y, z) and
@@ -876,7 +870,8 @@ def double_integrate_measure(measure: TransformMeasure, kernel, *,
     tensor quadrature (distinct line pairs are folded into one evaluation
     with weight two), with each line's density multiplied into the
     leading axis factor; line-point blocks reduce to single contour
-    integrals; point-point blocks are evaluated directly.
+    integrals; point-point blocks are evaluated directly.  A missed
+    tolerance is flagged, not warned about.
     """
     lines = measure.lines()
     pms = measure.point_masses()
@@ -949,8 +944,4 @@ def double_integrate_measure(measure: TransformMeasure, kernel, *,
             ya = np.asarray([a.location])
             zb = np.asarray([b.location])
             total += a.weight * b.weight * complex(kernel(ya, zb)[0])
-
-    if warn and not converged:
-        warnings.warn("double quadrature tolerance not met; result flagged",
-                      QuadratureWarning, stacklevel=2)
     return QuadratureResult(total, err, nodes, converged)

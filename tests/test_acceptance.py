@@ -235,10 +235,13 @@ def test_criterion_7_property_suite():
     # degenerate-branch continuity, both time conventions
     mm = np.array([0.97 + 0.05j])
     lim = 12 * mm ** 11
-    ok_disc = abs(complex(hd._geometric_sum(mm * (1 + 1e-4), mm, 12)[0]
-                          - lim[0])) <= 1e-3 * abs(complex(lim[0]))
-    ok_disc &= complex(hd._geometric_sum(mm.copy(), mm, 12)[0]) \
-        == pytest.approx(complex(lim[0]), rel=1e-13)
+
+    def geo(a):
+        return complex(hd.DiscreteHedgeCoefficients._geometric_ratio(
+            a, a ** 12, mm, mm ** 12, np.log(mm), 12)[0])
+
+    ok_disc = abs(geo(mm * (1 + 1e-4)) - lim[0]) <= 1e-3 * abs(complex(lim[0]))
+    ok_disc &= geo(mm.copy()) == pytest.approx(complex(lim[0]), rel=1e-13)
     w_small = np.array([1e-9 + 0j])
     ok_ct = complex(hc._exp_diff_quotient(w_small)[0]) == pytest.approx(
         1.0, abs=1e-8)

@@ -168,6 +168,20 @@ def test_degenerate_branch_continuity_ct():
     assert exact == pytest.approx(limit, rel=1e-15)
 
 
+def test_exp_diff_quotient_matches_mpmath():
+    # E(w) = (e^w - 1)/w to a rounding or so across the 1e-3 switch of the
+    # degenerate branches, against 50-digit arithmetic
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(15)
+    mags = np.logspace(-14.0, math.log10(3.0), 60)
+    w = mags * np.exp(1j * rng.uniform(-np.pi, np.pi, mags.size))
+    got = hc._exp_diff_quotient(w)
+    with mp.workdps(50):
+        for wk, gk in zip(w, got):
+            want = complex(mp.expm1(mp.mpc(wk)) / mp.mpc(wk))
+            assert abs(gk - want) <= 1e-15 * abs(want), wk
+
+
 def test_nig_continuous_error_variance():
     co = lh.coefficients_ct(NIG_FIT, 0.25)
     assert lh.error_variance_ct(co, lh.call(99.0), 100.0) == pytest.approx(
@@ -198,15 +212,17 @@ def test_hyperbolic_error_variance_pinned():
 
 
 def test_quadrature_warnings_name_the_caller():
-    # flagged quotes and error variances warn at the line that asked for
-    # them, not inside the engine
+    # flagged quotes, error variances and payoff reconstructions warn at
+    # the line that asked for them, not inside the engine
     nig_co = lh.coefficients_ct(NIG_FIT, 0.25)
     vg_co = lh.coefficients_ct(lh.VG(alpha=60.0, beta=-3.0, delta=5.0,
                                      mu=0.01), 0.25)
     for run in (lambda: lh.xi_ct(nig_co, lh.call(100.0), 95.1229, 0.2495),
                 lambda: lh.phi_ct(nig_co, lh.call(100.0), 95.1229, 0.2495, 0.0),
                 lambda: lh.error_variance_ct(vg_co, lh.self_quanto_call(100.0),
-                                             100.0)):
+                                             100.0),
+                lambda: lh.evaluate_payoff(lh.digital(2.0), 2.000002,
+                                           tol_abs=1e-12)):
         with pytest.warns(lh.QuadratureWarning) as caught:
             run()
         assert [w.filename for w in caught] == [__file__]

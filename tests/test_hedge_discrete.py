@@ -173,6 +173,16 @@ def test_b_kernel_symmetry_and_stock_direction():
         assert abs(b(y, 1.0)) <= 1e-12 * abs(m(y + 1))
 
 
+def geometric_ratio(a, m, N):
+    """(a^N - m^N)/(a - m) through the kernel's own cell-by-cell quotient."""
+    a = np.asarray(a, dtype=complex)
+    m = np.asarray(m, dtype=complex)
+    with np.errstate(all="ignore"):
+        a_pow, m_pow, log_m = a ** N, m ** N, np.log(m)
+    return hd.DiscreteHedgeCoefficients._geometric_ratio(
+        a, a_pow, m, m_pow, log_m, N)
+
+
 def test_degenerate_branch_continuity():
     # (a^N - m^N)/(a - m) converges to N m^(N-1) as a -> m
     N = 12
@@ -181,29 +191,58 @@ def test_degenerate_branch_continuity():
     prev = np.inf
     for k in range(4, 11):
         a = m * (1.0 + 10.0 ** (-k))
-        got = hd._geometric_sum(a, m, N)
+        got = geometric_ratio(a, m, N)
         err = abs(complex(got[0] - limit[0]) / complex(limit[0]))
         assert err <= prev + 1e-12
         prev = err
     assert prev <= 1e-9
-    exact = hd._geometric_sum(m.copy(), m, N)
+    exact = geometric_ratio(m.copy(), m, N)
     assert exact[0] == pytest.approx(complex(limit[0]), rel=1e-14)
 
 
 @pytest.mark.parametrize("dominant", ["m", "a"])
 def test_geometric_sum_dominance_keeps_first_order_term(dominant):
-    # at N = 63 a ratio |a/m| = 1e-4 is past the dominance threshold; the
-    # sum is m^(N-1) (1 + a/m + ...), not m^(N-1)
+    # at N = 63 with |a/m| = 1e-4 the sum is m^(N-1) (1 + a/m + ...), not
+    # m^(N-1): the direct quotient keeps the first-order term
     mp = pytest.importorskip("mpmath")
     N = 63
     big = 0.97 + 0.05j
     small = big * 1e-4 * complex(math.cos(0.3), math.sin(0.3))
     a, m = (small, big) if dominant == "m" else (big, small)
-    got = complex(hd._geometric_sum(np.array([a]), np.array([m]), N)[0])
+    got = complex(geometric_ratio(np.array([a]), np.array([m]), N)[0])
     with mp.workdps(50):
         am, mm = mp.mpc(a), mp.mpc(m)
         want = complex((am ** N - mm ** N) / (am - mm))
     assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_geometric_ratio_matches_mpmath_across_the_degeneracy():
+    # both sides of the 1e-3 switch between the direct quotient and
+    # N m^(N-1) E(N L)/E(L), down to a == m, against 50-digit arithmetic
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(15)
+    m = np.full(8, 0.97 + 0.05j)
+    for N in (2, 12, 26, 40, 63):
+        for dist in (0.0, 1e-12, 1e-8, 1e-6, 1e-4, 9.99e-4, 1.01e-3, 1e-2,
+                     0.3):
+            a = m * (1.0 + dist * np.exp(1j * rng.uniform(-np.pi, np.pi, 8)))
+            got = geometric_ratio(a, m, N)
+            with mp.workdps(50):
+                for ak, mk, gk in zip(a, m, got):
+                    am, mm = mp.mpc(ak), mp.mpc(mk)
+                    want = complex(N * mm ** (N - 1) if am == mm
+                                   else (am ** N - mm ** N) / (am - mm))
+                    assert abs(gk - want) <= 2e-13 * abs(want), (N, dist)
+
+
+def test_geometric_ratio_underflow_and_overflow():
+    # where a and m have both underflowed the sum vanishes, whether or not
+    # they coincide; an overflowing cell is left as it is, not zeroed
+    tiny = np.array([0j, 1e-300 + 1e-300j, 2e-290 + 0j])
+    for m in (tiny.copy(), tiny * (1.0 + 0.5j)):
+        assert np.all(geometric_ratio(tiny, m, 12) == 0.0)
+    huge = geometric_ratio(np.array([1e10 + 0j]), np.array([1.0 + 0j]), 63)
+    assert huge[0] != 0.0
 
 
 def test_error_variance_nonnegative_catalog():

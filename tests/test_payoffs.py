@@ -114,8 +114,8 @@ def test_call_plus_put_at_strike():
 @given(st.floats(-2.0, 3.0), st.floats(-2.0, 3.0), st.floats(0.4, 2.5))
 @settings(max_examples=20, deadline=None)
 # a drawn example: each 1e-7-weighted line stops at its 64-high cap in one
-# segment, whose whole value is then counted as its tail error, so the
-# combination is flagged with a QuadratureWarning although it is right
+# segment, and the tail estimate must come from the height plan's envelope
+# bound, not the segment's whole value, for the right result to converge
 @example(1e-07, 1e-07, 1.4760772383159768)
 def test_linearity(a, b, s):
     m1, m2 = lh.call(1.0), lh.call(1.3)
@@ -144,10 +144,29 @@ def test_abscissa_admissible():
     assert abscissa_admissible(lh.call_low_moment(100.0), nig_strip)
 
 
-def test_pv_uniqueness_enforced():
-    d1, d2 = lh.digital(1.0), lh.digital(2.0)
-    with pytest.raises(ValueError):
-        _ = d1 + d2
+@pytest.mark.parametrize("tol", [1e-6, 1e-8])
+def test_digital_spread_reconstructs_range_indicator(tol):
+    # two digital lines compose like any others: each is folded by the
+    # same 2 Re pairing
+    spread = lh.digital(99.0) - lh.digital(101.0)
+    for s in (90.0, 99.5, 100.0, 100.7, 110.0):
+        res = po.integrate_measure(spread, s, None, tol_abs=tol)
+        want = 1.0 if 99.0 < s < 101.0 else 0.0
+        assert res.converged
+        assert abs(res.value.real - want) <= res.error_estimate
+
+
+def test_digital_spread_hedges_as_the_difference():
+    nig = NIG(alpha=75.49, beta=-4.089, delta=3.024, mu=-0.04)
+    spread = lh.digital(99.0) - lh.digital(101.0)
+    for N in (1, 12):
+        co = lh.coefficients(nig, 0.25, N)
+        assert lh.initial_capital(co, spread, 100.0) == (
+            lh.initial_capital(co, lh.digital(99.0), 100.0)
+            - lh.initial_capital(co, lh.digital(101.0), 100.0))
+    _, res = lh.error_variance(lh.coefficients(nig, 0.25, 12), spread, 100.0,
+                               return_result=True)
+    assert res.converged
 
 
 def test_conjugate_point_masses_enforced():
