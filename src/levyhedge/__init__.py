@@ -25,13 +25,11 @@ from .models import (
     strip_of_finiteness,
 )
 from .numerics import (
-    BranchJumpError,
     ContourSpec,
     DomainError,
     QuadratureResult,
     bessel_k1,
     beta,
-    continuous_log,
     contour_integrate,
     double_contour_integrate,
     log_gamma,

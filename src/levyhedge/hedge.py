@@ -159,10 +159,9 @@ class DiscreteHedgeCoefficients:
         return mdl.mgf_step(self.model, z, self.dt)
 
     def moment_terms(self, z):
-        """``(m(z), m(z+1), g(z), h(z))`` from one evaluation of m at z and
-        one at z + 1."""
-        mz = self.m(z)
-        mz1 = self.m(np.asarray(z) + 1.0)
+        """``(m(z), m(z+1), g(z), h(z))`` from one evaluation of m on the
+        stacked z and z + 1."""
+        mz, mz1 = self.m(np.stack((z, np.add(z, 1.0))))
         g = (mz1 - self.m1 * mz) / (self.m2 - self.m1 ** 2)
         return mz, mz1, g, mz - (self.m1 - 1.0) * g
 
@@ -268,9 +267,9 @@ class ContinuousHedgeCoefficients:
 
     def cumulant_terms(self, z):
         """``(kappa(z), kappa(z+1) - kappa(z) - kappa(1), gamma(z), eta(z))``
-        from one evaluation of kappa at z and one at z + 1."""
-        kz = self.kappa(z)
-        gt = self.kappa(np.asarray(z) + 1.0) - kz - self.k1
+        from one evaluation of kappa on the stacked z and z + 1."""
+        kz, kz1 = self.kappa(np.stack((z, np.add(z, 1.0))))
+        gt = kz1 - kz - self.k1
         gam = gt / self.den
         return kz, gt, gam, kz - self.k1 * gam
 

@@ -30,7 +30,7 @@ from typing import Union
 
 import numpy as np
 
-from .numerics import DomainError, bessel_k1, bessel_k1e, continuous_log
+from .numerics import DomainError, bessel_k1e
 
 __all__ = [
     "Gaussian",
@@ -167,31 +167,24 @@ def strip_of_finiteness(model: LevyModelSpec) -> MomentStrip:
     raise UnsupportedModelError(f"unknown model {model!r}")
 
 
-# -- hyperbolic branch tracking ---------------------------------------------
+# -- hyperbolic cumulant -----------------------------------------------------
 #
-# The hyperbolic cumulant is the log of a Bessel/sqrt ratio times e^{mu z};
-# along a vertical contour that ratio can wind around the origin, so the
-# pointwise principal log is wrong beyond the first crossing.  The ratio is
-# split as exp(-delta(s(z) - s0)) * q(z) with s the principal square root
-# (continuous on the strip) and q built from the *scaled* Bessel function,
-# which decays only algebraically: the exponential part of the distinguished
-# log is exact and only q needs winding tracked.  That is done with a ladder
-# of finely spaced samples per (model, Re z) line, anchored at v = 0 where q
-# is real and positive; conjugate symmetry maps v < 0 onto v > 0.  A ladder
-# is the unwrapped argument of q at the rungs v = k * step, k = 0, 1, ...;
-# when a contour needs more height it grows from its top rung.
+# The hyperbolic cumulant is mu z plus the log of a Bessel/sqrt ratio, which
+# winds around the origin along a vertical contour.  The ratio is split as
+# exp(-delta(s(z) - s0)) * q(z) with s the principal square root (Re s > 0
+# on the strip) and q = (s0/s) K1e(delta s)/K1e(delta s0) built from the
+# *scaled* Bessel function, so the winding sits in the exact exponential
+# part.  q = F(delta s)/F(delta s0), where F(p) = K1e(p)/p is the Laplace
+# transform of sqrt(u^2 + 2u) (DLMF 10.32.8) and F(p) = L[f'](p)/p with
+# f'(u) = (u + 1)/sqrt(u^2 + 2u) completely monotone.  L[f'] is then a
+# Stieltjes function, whose argument lies between -arg p and 0, so
+# |arg q| <= 2 |arg(delta s)| < pi: q never reaches the negative reals,
+# its principal log is the distinguished one, and kappa needs no path.
 
-_HYP_LADDER_CACHE: dict = {}
-_HYP_CACHE_LIMIT = 64
-_HYP_CHUNK = 1024    # rungs per Bessel call, which bounds its working arrays
-
-
-@functools.lru_cache(maxsize=_HYP_CACHE_LIMIT)
+@functools.lru_cache(maxsize=64)
 def _hyp_anchor(alpha: float, beta: float, delta: float) -> tuple:
     """(s0, K1e(delta s0)) with s0 = sqrt(alpha^2 - beta^2): the value of
-    s and of the scaled Bessel factor at z = 0, fixed per model.  Kept out
-    of the node batches: high on a contour, its continued fraction would
-    be the slowest element of every batch."""
+    s and of the scaled Bessel factor at z = 0, fixed per model."""
     s0 = complex(np.sqrt(complex(alpha ** 2 - beta ** 2)))
     return s0, bessel_k1e(delta * s0)
 
@@ -214,71 +207,16 @@ def _hyp_ratio(model: Hyperbolic, z):
     return np.exp(-model.delta * (s - s0)) * q
 
 
-def _hyp_ladder(model: Hyperbolic, R: float, v_max: float):
-    """(step, args): the unwrapped arg of q at v = k * step, up to v_max."""
-    key = (model.alpha, model.beta, model.delta, model.mu, R)
-    step = 0.5 / (2.0 + model.delta)
-    args = _HYP_LADDER_CACHE.get(key)
-    if args is not None and (args.size - 1) * step >= v_max:
-        return step, args
-    n = int(math.ceil(v_max / step)) + 2
-    if args is None:
-        if len(_HYP_LADDER_CACHE) >= _HYP_CACHE_LIMIT:
-            _HYP_LADDER_CACHE.clear()
-        args = np.zeros(1)    # q is real and positive at v = 0
-    pieces = [args]
-    for top in range(args.size - 1, n, _HYP_CHUNK):
-        # the top rung is evaluated again so that continuous_log checks the
-        # seam; its new phase is moved onto the stored one
-        rungs = np.arange(top, min(n, top + _HYP_CHUNK) + 1)
-        _, _, q = _hyp_parts(model, R + 1j * step * rungs)
-        more = continuous_log(q).imag
-        pieces.append(more[1:] + (pieces[-1][-1] - more[0]))
-    args = np.concatenate(pieces)
-    _HYP_LADDER_CACHE[key] = args
-    return step, args
-
-
-def _hyp_kappa(model: Hyperbolic, z):
-    scalar = np.ndim(z) == 0
-    if scalar and complex(z) == 0.0:
-        return 0.0 + 0j
-    shape = np.shape(z)
-    zz = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
-    re = zz.real
-    if not scalar and zz.size > 1 and np.ptp(re) > 1e-12:
-        raise DomainError(
-            "hyperbolic cumulant on arrays requires a constant-Re contour")
-    s, s0, q = _hyp_parts(model, zz)
-    log_q = np.log(q)
-    log_q[zz == 0.0] = 0.0
-    if scalar:
-        out = model.mu * zz - model.delta * (s - s0) + log_q
-        return complex(out[0])
-    R = float(re[0])
-    v = zz.imag
-    sgn = np.where(v >= 0.0, 1.0, -1.0)
-    step, ladder = _hyp_ladder(model, R, float(np.max(np.abs(v))) + 1.0)
-    x = np.abs(v) / step
-    i = np.minimum(x.astype(np.intp), ladder.size - 2)
-    target = ladder[i] + (x - i) * (ladder[i + 1] - ladder[i])
-    # winding correction applies on |v|; conjugate symmetry restores sign
-    k = np.round((target - log_q.imag * sgn) / (2.0 * math.pi))
-    arg_abs = log_q.imag * sgn + 2.0 * math.pi * k
-    unwound = log_q.real + 1j * arg_abs * sgn
-    return (model.mu * zz - model.delta * (s - s0) + unwound).reshape(shape)
-
-
 def cumulant(model: LevyModelSpec, z):
     """Cumulant function kappa with ``E[e^{z X_t}] = e^{t kappa(z)}``.
 
     Accepts a complex scalar or ndarray; ``Re(z)`` must lie strictly inside
-    the model's moment strip.  For the hyperbolic model an array argument
-    is treated as a discretization of a constant-Re contour and evaluated
-    on the branch-continuous (distinguished) logarithm anchored at the
-    real axis; a scalar argument uses the exact exponential part plus the
-    principal log of the scaled Bessel ratio, which agrees with the
-    distinguished branch whenever that ratio stays off the negative reals.
+    the model's moment strip.  Every element is evaluated on its own, so
+    an array may mix real parts and gives bitwise the values of its
+    elements.  Logarithms are the distinguished ones, continuous from the
+    real axis; for the hyperbolic model that is the exact exponential part
+    plus the principal log of the scaled Bessel ratio, which never reaches
+    the negative reals (see the comment above ``_hyp_anchor``).
     """
     scalar = np.ndim(z) == 0
     zz = np.asarray(z, dtype=complex)
@@ -304,7 +242,9 @@ def cumulant(model: LevyModelSpec, z):
         denom = model.alpha - model.beta * zz - 0.5 * zz ** 2
         out = model.mu * zz + model.delta * np.log(model.alpha / denom)
     elif isinstance(model, Hyperbolic):
-        return _hyp_kappa(model, z)
+        s, s0, q = _hyp_parts(model, zz)
+        out = (model.mu * zz - model.delta * (s - s0)
+               + np.where(zz == 0.0, 0.0, np.log(q)))
     else:
         raise UnsupportedModelError(f"unknown model {model!r}")
     return out if not scalar else complex(out)
@@ -313,8 +253,8 @@ def cumulant(model: LevyModelSpec, z):
 def mgf_step(model: LevyModelSpec, z, dt: float):
     """Per-period moment function ``m(z) = exp(kappa(z) * dt)``.
 
-    For the hyperbolic model the fractional power is taken through the
-    distinguished logarithm along the supplied contour (see ``cumulant``).
+    The fractional power is taken through the distinguished logarithm of
+    ``cumulant``.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")

@@ -5,7 +5,6 @@ integrals) is built on the primitives in this module:
 
 * ``bessel_k1``, ``log_gamma``, ``beta`` -- special functions evaluated for
   complex arguments,
-* ``continuous_log`` -- branch-continuous logarithm along a discretized path,
 * ``contour_integrate`` / ``double_contour_integrate`` -- adaptive
   Gauss-Kronrod quadrature along vertical segments ``{R + iv : |v| <= c}``,
   always symmetrically truncated, so principal values come out right.
@@ -28,14 +27,12 @@ import numpy as np
 
 __all__ = [
     "DomainError",
-    "BranchJumpError",
     "ContourSpec",
     "QuadratureResult",
     "bessel_k1",
     "bessel_k1e",
     "log_gamma",
     "beta",
-    "continuous_log",
     "contour_integrate",
     "double_contour_integrate",
     "bromwich_integrate",
@@ -46,10 +43,6 @@ EULER_GAMMA = 0.57721566490153286060651209008240243
 
 class DomainError(ValueError):
     """Argument outside the mathematical domain of an operation."""
-
-
-class BranchJumpError(ValueError):
-    """Consecutive path samples too coarse to track a continuous branch."""
 
 
 @dataclass(frozen=True)
@@ -297,31 +290,6 @@ def beta(a, b):
     """Euler beta function ``exp(log_gamma(a) + log_gamma(b) - log_gamma(a+b))``."""
     lg = log_gamma(a) + log_gamma(b) - log_gamma(np.add(a, b))
     return np.exp(lg) if np.ndim(lg) else cmath.exp(lg)
-
-
-def continuous_log(values) -> np.ndarray:
-    """Logs with imaginary part continuous along the given ordered sequence.
-
-    Anchored at the principal branch of the first element;
-    ``exp(result[k]) == values[k]`` for all k.  Raises
-    :class:`BranchJumpError` when two consecutive samples differ in
-    argument by (numerically) pi or more, since the winding is then
-    ambiguous and the caller must refine its discretization.
-    """
-    vals = np.asarray(values, dtype=complex).ravel()
-    if vals.size == 0:
-        return np.empty(0, dtype=complex)
-    if np.any(vals == 0):
-        raise DomainError("continuous_log: zero entry in path")
-    dargs = np.angle(vals[1:] / vals[:-1])
-    if dargs.size and np.max(np.abs(dargs)) >= math.pi - 1e-9:
-        k = int(np.argmax(np.abs(dargs)))
-        raise BranchJumpError(
-            f"argument jump {dargs[k]:+.6f} between samples {k} and {k + 1}; "
-            "refine the path discretization"
-        )
-    phases = np.concatenate(([np.angle(vals[0])], dargs)).cumsum()
-    return np.log(np.abs(vals)) + 1j * phases
 
 
 # ---------------------------------------------------------------------------

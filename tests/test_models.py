@@ -21,7 +21,6 @@ from levyhedge.models import (
     sample_increments,
     strip_of_finiteness,
 )
-from levyhedge.numerics import continuous_log
 
 GAUSS = Gaussian(mu=0.08, sigma=0.2)
 MERTON = MertonJD(mu=0.05, sigma=0.15, jump_intensity=0.8,
@@ -197,7 +196,7 @@ def test_hyperbolic_sampling_unsupported():
 
 
 # ---------------------------------------------------------------------------
-# hyperbolic branch tracking
+# hyperbolic distinguished logarithm
 # ---------------------------------------------------------------------------
 
 def test_hyperbolic_contour_continuity():
@@ -219,40 +218,6 @@ def test_hyperbolic_scalar_agrees_near_axis():
     assert cumulant(HYP, z) == pytest.approx(arr[1], rel=1e-13)
 
 
-def test_hyperbolic_ladder_extension_matches_cold_build():
-    # a contour that needs more height grows the cached ladder from its
-    # top rung; the values must be those of a ladder built in one go
-    R = 1.2
-    v = np.linspace(-300.0, 300.0, 6001)
-    mdl._HYP_LADDER_CACHE.clear()
-    cold = cumulant(HYP, R + 1j * v)
-    (cold_ladder,) = mdl._HYP_LADDER_CACHE.values()
-    mdl._HYP_LADDER_CACHE.clear()
-    cumulant(HYP, R + 1j * np.linspace(-20.0, 20.0, 401))
-    (short_ladder,) = mdl._HYP_LADDER_CACHE.values()
-    warm = cumulant(HYP, R + 1j * v)
-    (long_ladder,) = mdl._HYP_LADDER_CACHE.values()
-    assert short_ladder.size < long_ladder.size == cold_ladder.size
-    assert np.array_equal(long_ladder[:short_ladder.size], short_ladder)
-    assert np.allclose(long_ladder, cold_ladder, rtol=0.0, atol=1e-12)
-    assert np.all(np.abs(warm - cold) <= 1e-13 * np.abs(cold))
-    sheets = np.round((warm.imag - cold.imag) / (2.0 * math.pi))
-    assert np.all(sheets == 0)
-
-
-def test_hyperbolic_ladder_grown_in_chunks_matches_one_call():
-    # a tall first request grows its ladder _HYP_CHUNK rungs per Bessel
-    # call; the rungs must be those of one continuous_log over all of them
-    R = 1.2
-    mdl._HYP_LADDER_CACHE.clear()
-    step, ladder = mdl._hyp_ladder(HYP, R, 700.0)
-    assert ladder.size > 4 * mdl._HYP_CHUNK
-    _, _, q = mdl._hyp_parts(HYP, R + 1j * step * np.arange(ladder.size))
-    cold = continuous_log(q).imag
-    assert np.all(np.abs(ladder - cold) <= 1e-13 * np.maximum(1.0,
-                                                              np.abs(cold)))
-
-
 def test_hyperbolic_winding_actually_happens():
     # the naive principal log of the full ratio must disagree with the
     # branch-continuous value somewhere (by whole turns), otherwise this
@@ -266,6 +231,58 @@ def test_hyperbolic_winding_actually_happens():
     assert np.max(diff) > 1.0  # at least one 2 pi sheet apart
     turns = diff[diff > 1.0] / (2.0 * math.pi)
     assert np.allclose(turns, np.round(turns), atol=1e-6)
+
+
+# extreme fits: delta from 0.01 to 40, strips from 0.8 to 160 wide
+_HYP_EXTREMES = [
+    Hyperbolic(8.0, 2.0, 0.01, -0.3), Hyperbolic(8.0, 2.0, 40.0, -0.3),
+    Hyperbolic(3.0, 0.5, 1.0, 0.1), Hyperbolic(120.0, -40.0, 0.2, 0.0),
+    Hyperbolic(2.2, -0.1, 15.0, 0.02), Hyperbolic(50.0, 20.0, 5.0, -1.0),
+    HYP,
+]
+
+
+@pytest.mark.parametrize("model", _HYP_EXTREMES, ids=lambda m: f"delta={m.delta}")
+def test_hyperbolic_bessel_ratio_stays_off_negative_reals(model):
+    # kappa takes the principal log of q = (s0/s) K1e(delta s)/K1e(delta s0);
+    # that is the distinguished log because |arg q| <= 2 |arg s| < pi on
+    # the whole strip, checked here up to v = 3e6
+    v = np.concatenate(([0.0], np.geomspace(1e-3, 3e6, 2000)))
+    strip = strip_of_finiteness(model)
+    for frac in (0.01, 0.25, 0.5, 0.75, 0.99):
+        R = strip.lo + frac * (strip.hi - strip.lo)
+        s, _, q = mdl._hyp_parts(model, R + 1j * v)
+        arg_q = np.abs(np.angle(q))
+        assert np.all(arg_q <= 2.0 * np.abs(np.angle(s)) + 1e-12)
+        assert np.max(arg_q) < 0.5 * math.pi    # and far from pi
+
+
+def test_hyperbolic_cumulant_mpmath_high_on_contour():
+    # mpmath's complex besselk is independent of the continued fraction
+    # and the Hankel expansion of numerics._k1
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    a, b, d, mu = (mp.mpf(x) for x in (HYP.alpha, HYP.beta, HYP.delta, HYP.mu))
+    s0 = mp.sqrt(a ** 2 - b ** 2)
+    for z in (1.2 + 40j, 1.2 + 3e3j, -0.7 + 2.5e4j, 3.1 - 1e5j, 5.0 + 7j):
+        s = mp.sqrt(a ** 2 - (b + mp.mpc(z)) ** 2)
+        q = ((s0 / s) * mp.besselk(1, d * s) * mp.exp(d * (s - s0))
+             / mp.besselk(1, d * s0))
+        want = complex(mu * mp.mpc(z) - d * (s - s0) + mp.log(q))
+        assert abs(cumulant(HYP, z) - want) <= 1e-14 * abs(want), f"z={z}"
+
+
+@pytest.mark.parametrize("model", ALL, ids=lambda m: type(m).__name__)
+def test_cumulant_array_with_mixed_real_parts_is_its_pieces(model):
+    # the hedge engines evaluate kappa once on np.stack((z, z + 1)), which
+    # is only sound if every element is evaluated on its own
+    z = np.array([0.3 + 0.0j, 1.2 + 40.0j, -0.4 - 7.5j, 1.7 + 3e3j, 0.0j,
+                  0.9 - 250.0j])
+    both = cumulant(model, np.stack((z, z + 1.0)))
+    assert np.array_equal(both[0], cumulant(model, z))
+    assert np.array_equal(both[1], cumulant(model, z + 1.0))
+    for zk, got in zip(z, both[0]):
+        assert got == cumulant(model, complex(zk))
 
 
 def test_gaussian_benchmark_moments():

@@ -6,13 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from levyhedge import numerics
 from levyhedge.numerics import (
-    BranchJumpError,
     ContourSpec,
     DomainError,
     bessel_k1,
     beta,
     bromwich_integrate,
-    continuous_log,
     contour_integrate,
     double_contour_integrate,
     log_gamma,
@@ -235,36 +233,6 @@ def test_beta_array_second_argument():
     for bk, g in zip(b, got):
         want = beta_integral_oracle(a, bk)
         assert abs(g - want) <= 1e-10 * abs(want), f"b={bk}"
-
-
-# ---------------------------------------------------------------------------
-# continuous_log
-# ---------------------------------------------------------------------------
-
-def test_continuous_log_positive_reals():
-    vals = np.array([1.0, 2.0, 0.5, 7.0])
-    assert np.all(continuous_log(vals).imag == 0.0)
-
-
-def test_continuous_log_full_turn():
-    th = np.linspace(0.0, 2.0 * math.pi, 400)
-    logs = continuous_log(np.exp(1j * th))
-    assert logs[-1].imag - logs[0].imag == pytest.approx(2.0 * math.pi, abs=1e-12)
-
-
-def test_continuous_log_roundtrip_hyperbolic_argument():
-    from levyhedge.models import Hyperbolic, _hyp_ratio
-
-    model = Hyperbolic(alpha=8.0, beta=2.0, delta=1.5, mu=-0.3)
-    v = np.linspace(0.0, 200.0, 4001)
-    vals = _hyp_ratio(model, 1.2 + 1j * v)
-    logs = continuous_log(vals)
-    assert np.max(np.abs(np.exp(logs) - vals)) <= 1e-12 * np.max(np.abs(vals))
-
-
-def test_continuous_log_jump_detected():
-    with pytest.raises(BranchJumpError):
-        continuous_log(np.array([1.0, -1.0, 1.0]))
 
 
 # ---------------------------------------------------------------------------
