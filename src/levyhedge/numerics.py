@@ -3,8 +3,9 @@
 Everything downstream (model transforms, payoff inversion, hedging
 integrals) is built on the primitives in this module:
 
-* ``bessel_k1``, ``log_gamma``, ``beta`` -- special functions evaluated for
-  complex arguments,
+* ``bessel_k1``/``bessel_k1e``, ``log_gamma``, ``beta`` -- special
+  functions of complex arguments as numpy array code (``K1`` by series,
+  continued fraction or Hankel's expansion, by ``|w|``),
 * ``contour_integrate`` / ``double_contour_integrate`` -- adaptive
   Gauss-Kronrod quadrature along vertical segments ``{R + iv : |v| <= c}``,
   always symmetrically truncated, so principal values come out right.
@@ -20,6 +21,7 @@ All functions are pure; there is no shared mutable state.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -176,6 +178,25 @@ def _k1_cf(w: np.ndarray, scaled: bool) -> np.ndarray:
     return k0 * (w + 0.5 - a1 * h_out) / w
 
 
+# Hankel's expansion K1(w) = sqrt(pi/2w) e^{-w} sum_k a_k w^{-k} (DLMF
+# 10.40.2) with a_k = a_{k-1} (4 - (2k-1)^2)/(8k).  Cut after 23 terms, its
+# remainder is at most 2 |a_23 w^{-23}| e^{3/(4|w|)} (DLMF 10.40.10), below
+# 1.1e-16 from |w| = 20 on.
+_HANKEL_FROM = 20.0
+_K1_HANKEL = tuple(itertools.accumulate(
+    range(1, 23), lambda a, k: a * (4 - (2 * k - 1) ** 2) / (8 * k),
+    initial=1.0))
+
+
+def _k1_hankel(w: np.ndarray, scaled: bool) -> np.ndarray:
+    u = np.reciprocal(w)
+    s = _K1_HANKEL[-1] * u + _K1_HANKEL[-2]
+    for a in _K1_HANKEL[-3::-1]:    # Horner's rule in 1/w
+        s = s * u + a
+    out = np.sqrt((0.5 * math.pi) * u) * s
+    return out if scaled else out * np.exp(-w)
+
+
 def _k1(w, scaled: bool):
     arr = np.asarray(w, dtype=complex)
     flat = arr.ravel()
@@ -184,12 +205,17 @@ def _k1(w, scaled: bool):
         raise DomainError("bessel_k1 requires finite w with Re(w) > 0, "
                           f"got {complex(flat[np.argmin(ok)])}")
     out = np.empty_like(flat)
-    small = np.abs(flat) < 2.0
+    r = np.abs(flat)
+    small = r < 2.0
+    large = r >= _HANKEL_FROM
+    middle = ~(small | large)
     if small.any():
         ws = flat[small]
         out[small] = _k1_series(ws) * np.exp(ws) if scaled else _k1_series(ws)
-    if not small.all():
-        out[~small] = _k1_cf(flat[~small], scaled)
+    if middle.any():
+        out[middle] = _k1_cf(flat[middle], scaled)
+    if large.any():
+        out[large] = _k1_hankel(flat[large], scaled)
     if arr.ndim == 0:
         return complex(out[0])
     return out.reshape(arr.shape)
@@ -198,7 +224,9 @@ def _k1(w, scaled: bool):
 def bessel_k1(w):
     """Modified Bessel function of the third kind, index 1, for Re(w) > 0.
 
-    Ascending series for |w| < 2, continued fraction otherwise; both are
+    Three regimes by ``|w|``: the ascending series below 2, the
+    Thompson-Barnett continued fraction from 2 to 20, and Hankel's
+    asymptotic expansion (23 terms) from 20 on.  All three are
     conjugate-symmetric, so ``bessel_k1(conj(w)) == conj(bessel_k1(w))``
     and real arguments give real results.  Arrays are evaluated
     elementwise; a scalar argument returns a Python complex.
@@ -210,8 +238,8 @@ def bessel_k1e(w):
     """Exponentially scaled variant ``exp(w) * bessel_k1(w)``.
 
     The scaled value decays only algebraically along vertical contours, so
-    branch tracking of Bessel ratios stays clear of underflow while the
-    exponential factor is carried analytically.
+    Bessel ratios built from it stay clear of underflow high on a contour
+    while the exponential factor is carried analytically.
     """
     return _k1(w, scaled=True)
 

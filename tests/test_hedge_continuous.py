@@ -211,6 +211,23 @@ def test_hyperbolic_error_variance_pinned():
     assert res.converged
 
 
+@pytest.mark.parametrize("N, want", [(12, 0.08643820348816642),
+                                     (None, 0.07846988911075596)],
+                         ids=["N=12", "continuous"])
+def test_hyperbolic_digital_error_variance_far_ridge(N, want):
+    # a digital line decays slowly, so the far-ridge integral runs up to
+    # |v| ~ 2e6, where kappa must stay on its distinguished branch; the
+    # pinned values were computed by unwrapping arg q along each contour
+    hyp = lh.Hyperbolic(alpha=8.0, beta=2.0, delta=1.5, mu=-0.3)
+    co = (lh.coefficients_ct(hyp, 0.25) if N is None
+          else lh.coefficients(hyp, 0.25, N))
+    j0, res = lh.error_variance(co, lh.digital(100.5), 100.0,
+                                return_result=True)
+    assert res.converged
+    assert res.nodes_used == 681960
+    assert abs(j0 - want) <= res.error_estimate
+
+
 def test_quadrature_warnings_name_the_caller():
     # flagged quotes, error variances and payoff reconstructions warn at
     # the line that asked for them, not inside the engine

@@ -107,12 +107,14 @@ def test_k1_conjugate_symmetry(re, im):
     assert bessel_k1(np.conj(w)) == np.conj(bessel_k1(w))
 
 
-# a 2-D array mixing the series (|w| < 2), the boundary and the continued
-# fraction (|w| > 2), as contours pass them
+# a 2-D array mixing the series (|w| < 2), its boundary, the continued
+# fraction (2 <= |w| < 20) and Hankel's expansion (|w| >= 20), as contours
+# pass them
 _W_MIXED = np.array([
     [0.3 + 0.2j, 1.1 - 1.4j, 2.0 + 0.0j, 1.2 + 1.6j],
     [1.5 + 9.0j, 4.5 - 3.0j, 12.0 + 14.0j, 0.6 - 1.2j],
     [7.0 + 0.0j, 0.9 + 0.0j, 2.5 - 0.5j, 3.0 - 14.5j],
+    [25.0 + 0.0j, 6.0 + 21.0j, 30.0 - 12.0j, 2.5 - 40.0j],
 ])
 
 
@@ -137,6 +139,18 @@ def test_k1_array_conjugate_symmetric_and_real():
     x = np.array([0.3, 0.9, 2.0, 7.0, 30.0])
     assert np.all(bessel_k1(x).imag == 0.0)
     assert np.all(numerics.bessel_k1e(x).imag == 0.0)
+
+
+def test_k1e_mpmath_across_hankel_seam():
+    # the continued fraction ends and Hankel's expansion starts at |w| = 20;
+    # both sides, and the expansion far out, against mpmath's besselk
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 20
+    r = np.array([19.9, 19.99, 20.0, 20.01, 20.1, 150.0, 1e3, 1e4])
+    w = (r[:, None] * np.exp(1j * np.linspace(-1.5, 1.5, 7))).ravel()
+    for wk, got in zip(w, numerics.bessel_k1e(w)):
+        want = complex(mp.besselk(1, mp.mpc(wk)) * mp.exp(mp.mpc(wk)))
+        assert abs(got - want) <= 1e-15 * abs(want), f"w={wk}"
 
 
 @pytest.mark.parametrize("bad", [-1.0 + 2j, 0.0 + 3j, -0.5 + 0j])
