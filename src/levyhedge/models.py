@@ -186,7 +186,8 @@ def _hyp_anchor(alpha: float, beta: float, delta: float) -> tuple:
     """(s0, K1e(delta s0)) with s0 = sqrt(alpha^2 - beta^2): the value of
     s and of the scaled Bessel factor at z = 0, fixed per model.  Kept out
     of the node batches: high on a contour every node takes Hankel's
-    expansion, and the anchor would add a continued fraction to each."""
+    expansion, and the anchor would add a pass of the Gauss-Laguerre rule
+    to each."""
     s0 = complex(np.sqrt(complex(alpha ** 2 - beta ** 2)))
     return s0, bessel_k1e(delta * s0)
 

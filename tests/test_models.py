@@ -258,7 +258,7 @@ def test_hyperbolic_bessel_ratio_stays_off_negative_reals(model):
 
 
 def test_hyperbolic_cumulant_mpmath_high_on_contour():
-    # mpmath's complex besselk is independent of the continued fraction
+    # mpmath's complex besselk is independent of the Gauss-Laguerre rule
     # and the Hankel expansion of numerics._k1
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 30

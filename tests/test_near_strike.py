@@ -43,3 +43,17 @@ def test_near_strike_put_backtest_meets_its_prediction(seed):
     rep = backtest_discrete(MODELS["gaussian"], lh.put(100.02), S0, T, 4,
                             4096, seed)
     assert abs(rep.z_score) < 4.0, rep
+
+
+@pytest.mark.xfail(strict=True, raises=lh.QuadratureWarning,
+                   reason="ROADMAP item 2: VG quotes 1.5e-2 from the strike in "
+                          "log-spot are flagged unconverged")
+@pytest.mark.filterwarnings("error::levyhedge.QuadratureWarning")
+@pytest.mark.parametrize("dates", [1, 12, None], ids=["N1", "N12", "ct"])
+def test_vg_put_capital_off_the_strike_converges(dates):
+    model = lh.VG(alpha=20.0, beta=-1.0, delta=1.5, mu=0.05)
+    if dates is None:
+        v0 = lh.initial_capital_ct(lh.coefficients_ct(model, T), lh.put(101.0), 99.5)
+    else:
+        v0 = lh.initial_capital(lh.coefficients(model, T, dates), lh.put(101.0), 99.5)
+    assert 4.8 < v0 < 4.9

@@ -107,9 +107,9 @@ def test_k1_conjugate_symmetry(re, im):
     assert bessel_k1(np.conj(w)) == np.conj(bessel_k1(w))
 
 
-# a 2-D array mixing the series (|w| < 2), its boundary, the continued
-# fraction (2 <= |w| < 20) and Hankel's expansion (|w| >= 20), as contours
-# pass them
+# a 2-D array mixing the series (|w| < 2), its boundary, both Gauss-Laguerre
+# rules (2 <= |w| < 5 and 5 <= |w| < 20) and Hankel's expansion
+# (|w| >= 20), as contours pass them
 _W_MIXED = np.array([
     [0.3 + 0.2j, 1.1 - 1.4j, 2.0 + 0.0j, 1.2 + 1.6j],
     [1.5 + 9.0j, 4.5 - 3.0j, 12.0 + 14.0j, 0.6 - 1.2j],
@@ -141,8 +141,59 @@ def test_k1_array_conjugate_symmetric_and_real():
     assert np.all(numerics.bessel_k1e(x).imag == 0.0)
 
 
+def test_k1_elements_match_their_batch():
+    # each element alone is bitwise its value in the mixed batch
+    for f in (bessel_k1, numerics.bessel_k1e):
+        batch = f(_W_MIXED)
+        for w, got in zip(_W_MIXED.ravel(), batch.ravel()):
+            alone = f(np.array([w]))[0]
+            assert alone == got and f(w) == got, f"w={w}"
+
+
+def test_k1e_mpmath_across_the_middle_band():
+    # the Gauss-Laguerre regime, 2 <= |w| < 20, from its lower edge across
+    # the seam of its two rules at 5 to the Hankel seam, up to 1e-9 from the
+    # imaginary axis
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    r = np.array([2.0, 2.0001, 3.0, 4.0, 4.9999, 5.0, 6.0, 8.6, 12.0, 19.99])
+    arg = np.linspace(-1.0, 1.0, 9) * (0.5 * math.pi - 1e-9)
+    w = (r[:, None] * np.exp(1j * arg)).ravel()
+    for wk, got in zip(w, numerics.bessel_k1e(w)):
+        want = complex(mp.besselk(1, mp.mpc(wk)) * mp.exp(mp.mpc(wk)))
+        assert abs(got - want) <= 1e-15 * abs(want), f"w={wk}"
+
+
+# K1e across 2 <= |w| < 20, frozen from mpmath at 25 digits, so that the
+# middle band is checked where mpmath is absent
+_K1E_MIDDLE_BAND = [
+    (2 + 0j, 1.033476847068688573175357 + 0.0j),
+    (1.25 - 1.6j, 0.8333857607551749358393944 + 0.5273054917099433851106127j),
+    (1e-06 + 2.5j, 0.488385604286160623656983 - 0.6509353449627704353624803j),
+    (3 - 0.5j, 0.795376219848191596386229 + 0.07829185771827556468489349j),
+    (2.5 + 3.5j, 0.5470734675990915884506345 - 0.3260167621817855221689224j),
+    (0.02 - 4.5j, 0.3868502676877840112463177 + 0.4537273045407712400155372j),
+    (3 + 4j, 0.5102450299328521621680121 - 0.290121551266938438618628j),
+    (6 + 0j, 0.5421759102771335382848695 + 0.0j),
+    (4 + 5.5j, 0.4331543277760653718633243 - 0.2433914401455296067303408j),
+    (0.5 - 8.6j, 0.2992027643501516449719597 + 0.3076324189239208031438387j),
+    (9 + 7j, 0.3577756889360356594464032 - 0.1303596898348650568440922j),
+    (0.001 + 12j, 0.2480700142211830099033015 - 0.2640082717418569438278927j),
+    (14 - 6j, 0.3209849763887676884033541 + 0.06895224255173671436916512j),
+    (0.0001 - 19.9j, 0.1949816884306965486402834 + 0.202462876870719335409631j),
+    (19.99 + 0j, 0.2854994321517989394973775 + 0.0j),
+]
+
+
+def test_k1e_frozen_middle_band_table():
+    w, want = (np.array(c) for c in zip(*_K1E_MIDDLE_BAND))
+    assert np.all((np.abs(w) >= 2.0) & (np.abs(w) < 20.0))
+    got = numerics.bessel_k1e(w)
+    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+
 def test_k1e_mpmath_across_hankel_seam():
-    # the continued fraction ends and Hankel's expansion starts at |w| = 20;
+    # the Gauss-Laguerre rule ends and Hankel's expansion starts at |w| = 20;
     # both sides, and the expansion far out, against mpmath's besselk
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 20
