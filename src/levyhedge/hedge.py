@@ -187,9 +187,9 @@ class DiscreteHedgeCoefficients:
         return weight
 
     @staticmethod
-    def _geometric_ratio(a, a_pow, m, m_pow, log_m, n: int):
+    def _geometric_ratio(a, a_pow, m, m_pow, n: int):
         """(a^n - m^n)/(a - m) cell by cell, given ``a_pow`` = a^n and
-        ``m_pow`` = m^n = exp(n log_m).
+        ``m_pow`` = m^n.
 
         The direct quotient holds wherever a and m are apart.  Cells within
         1e-3 of the degeneracy a == m are n m^(n-1) E(n L) / E(L) with
@@ -211,7 +211,7 @@ class DiscreteHedgeCoefficients:
                 r = d[near] / m[near]
                 # log1p(r), which numpy's complex log1p loses to rounding
                 L = r * (1.0 - r * (0.5 - r * (1.0 / 3.0 - r * (0.25 - r / 5.0))))
-                out[near] = (n * np.exp((n - 1) * log_m[near])
+                out[near] = (n * (m_pow[near] / m[near])
                              * _exp_diff_quotient(n * L) / _exp_diff_quotient(L))
         return out
 
@@ -231,19 +231,20 @@ class DiscreteHedgeCoefficients:
             return (np.exp(zn * ln_s0), mz, mz1, m2 * mz, m1 * mz1, m1 * mz,
                     root, root ** N)
 
-        # everything that depends on y + z alone: log m, m and m^N
+        # everything that depends on y + z alone: m and m^N
         def along_sum(s):
             log_m = mdl.cumulant(model, s) * dt
-            return log_m, np.exp(log_m), np.exp(N * log_m)
+            return np.exp(log_m), np.exp(N * log_m)
 
-        def pair(ydat, zdat, sdat):
-            s0y, _, my1, m2_my, m1_my1, m1_my, ay, ay_n = ydat
-            s0z, mz, mz1, _, _, _, az, az_n = zdat
-            log_m, myz, myz_n = sdat
+        def pair(ydat, zdat, sdat, scale=None):
+            _, _, my1, m2_my, m1_my1, m1_my, ay, ay_n = ydat
+            _, mz, mz1, _, _, _, az, az_n = zdat
+            myz, myz_n = sdat
             b = myz - (m2_my * mz - m1_my1 * mz - m1_my * mz1 + my1 * mz1) / var1
-            geo = self._geometric_ratio(ay * az, ay_n * az_n, myz, myz_n,
-                                        log_m, N)
-            return (s0y * s0z) * b * geo
+            if scale is not None:
+                b = scale * b
+            return b * self._geometric_ratio(ay * az, ay_n * az_n, myz, myz_n,
+                                             N)
 
         return po.PairKernel(axis_data, axis_data, along_sum, pair)
 
@@ -327,11 +328,13 @@ class ContinuousHedgeCoefficients:
             kyz = mdl.cumulant(model, s)
             return kyz, np.exp(kyz * T)
 
-        def pair(ydat, zdat, sdat):
-            s0y, ky, gty, eta_y, ey = ydat
-            s0z, kz, gtz, eta_z, ez = zdat
+        def pair(ydat, zdat, sdat, scale=None):
+            _, ky, gty, eta_y, ey = ydat
+            _, kz, gtz, eta_z, ez = zdat
             kyz, e_k = sdat
             beta = kyz - ky - kz - gty * gtz / den
+            if scale is not None:
+                beta = scale * beta
             # T (e^{alpha T} - e^{kappa T}) / w with w = (alpha - kappa) T
             d = eta_y + eta_z - rate - kyz
             with np.errstate(all="ignore"):
@@ -341,7 +344,7 @@ class ContinuousHedgeCoefficients:
             if near.any():
                 # T e^{kappa T} (e^w - 1)/w, which is T e^{kappa T} at w = 0
                 quot[near] = T * e_k[near] * _exp_diff_quotient(w[near])
-            return (s0y * s0z) * beta * quot
+            return beta * quot
 
         return po.PairKernel(axis_data, axis_data, along_sum, pair)
 

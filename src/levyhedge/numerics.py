@@ -90,7 +90,7 @@ class QuadratureResult:
 def _k1_series(w: np.ndarray) -> np.ndarray:
     # Ascending series around 0:
     #   K1(w) = 1/w + I1(w) log(w/2) - (w/4) sum_k [psi(k+1)+psi(k+2)] q^k/(k!(k+1)!)
-    # with q = w^2/4.  Used for |w| < 2 where no cancellation occurs.  The
+    # with q = w^2/4.  Used for |w| < 1.5 where no cancellation occurs.  The
     # psi sum is common to every element; each element stops at its own
     # term and leaves the working arrays once it has converged.
     q = 0.25 * w * w
@@ -182,10 +182,12 @@ def _k1_hankel(w: np.ndarray, scaled: bool) -> np.ndarray:
 
 
 # The integrand's branch point t = -2w lies at least 2|w| from the nodes,
-# so larger |w| needs fewer nodes.  Against mpmath, 48 nodes from |w| = 2
+# so larger |w| needs fewer nodes.  Against mpmath, 48 nodes from |w| = 1.5
 # and 16 from |w| = 5 are within 7e-16 up to |w| = 20, 1e-9 from the
-# imaginary axis; each band costs one fixed pass per element.
-_K1_LAGUERRE_BANDS = ((2.0, 5.0, _gauss_laguerre(48)),
+# imaginary axis; each band costs one fixed pass per element.  Below 1.5
+# the series is the more accurate (7.2e-16 at |w| = 1.5, 1.9e-15 at 1.9).
+_LAGUERRE_FROM = 1.5
+_K1_LAGUERRE_BANDS = ((_LAGUERRE_FROM, 5.0, _gauss_laguerre(48)),
                       (5.0, _HANKEL_FROM, _gauss_laguerre(16)))
 
 
@@ -198,7 +200,7 @@ def _k1(w, scaled: bool):
                           f"got {complex(flat[np.argmin(ok)])}")
     out = np.empty_like(flat)
     r = np.abs(flat)
-    small = r < 2.0
+    small = r < _LAGUERRE_FROM
     large = r >= _HANKEL_FROM
     if small.any():
         ws = flat[small]
@@ -217,8 +219,8 @@ def _k1(w, scaled: bool):
 def bessel_k1(w):
     """Modified Bessel function of the third kind, index 1, for Re(w) > 0.
 
-    Three regimes by ``|w|``: the ascending series below 2, Gauss-Laguerre
-    rules for the integral of DLMF 10.32.8 from 2 to 20 (48 nodes below 5,
+    Three regimes by ``|w|``: the ascending series below 1.5, Gauss-Laguerre
+    rules for the integral of DLMF 10.32.8 from 1.5 to 20 (48 nodes below 5,
     16 from 5 on), and Hankel's asymptotic expansion (23 terms) from 20
     on.  All three are conjugate-symmetric, so ``bessel_k1(conj(w)) == conj(bessel_k1(w))``
     and real arguments give real results.  Arrays are evaluated
@@ -340,18 +342,22 @@ _G7_WEIGHTS = np.array([
 _G7_IDX = np.arange(1, 15, 2)
 
 
-def _eval_panels(fv, a, b):
-    """K15 values and |K15 - G7| errors of the panels [a, b], one fv call."""
+def _eval_panels(fv, a, b, owner=None):
+    """K15 values and |K15 - G7| errors of the panels [a, b], one fv call;
+    given the ``owner`` of each panel, fv also gets each node's owner."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     x = mid[:, None] + half[:, None] * _K15_NODES[None, :]
-    y = np.asarray(fv(x.ravel()), dtype=complex).reshape(x.shape)
+    y = fv(x.ravel()) if owner is None else fv(x.ravel(),
+                                               np.repeat(owner, x.shape[1]))
+    y = np.asarray(y, dtype=complex).reshape(x.shape)
     ik = half * (y @ _K15_WEIGHTS)
     ig = half * (y[:, _G7_IDX] @ _G7_WEIGHTS)
     return ik, np.abs(ik - ig)
 
 
-def _adapt(fv, intervals, tol_abs: float, max_evals: int):
+def _adapt(fv, intervals, tol_abs: float, max_evals: int, *,
+           independent: bool = False):
     """Adaptively integrate ``fv`` over several intervals at once.
 
     ``intervals`` holds the initial panel edges of each interval.  Each
@@ -359,15 +365,23 @@ def _adapt(fv, intervals, tol_abs: float, max_evals: int):
     fewest worst panels whose errors must go for the rest to meet it, all
     in one call of ``fv``; a panel too narrow to split counts as exact.
     The initial panels are always evaluated; splits stop before
-    ``max_evals`` would be passed.  Returns ``(values, errors, nevals,
-    edges)``: ``nevals`` in total, the rest per interval.
+    ``max_evals`` would be passed.  With ``independent`` the intervals are
+    separate integrals: ``fv(x, k)`` also gets the index ``k`` of each
+    node's interval, and every interval has a budget of ``max_evals`` of
+    its own, so that it adapts as it would alone.  Returns ``(values,
+    errors, nevals, edges)``: ``nevals`` in total, the rest per interval.
     """
+    def panels(a, b, owner):
+        if independent:
+            return _eval_panels(fv, a, b, owner)
+        return _eval_panels(fv, a, b)
+
     ids = np.arange(len(intervals))
     owner = np.repeat(ids, [len(e) - 1 for e in intervals])
     a = np.concatenate([e[:-1] for e in intervals])
     b = np.concatenate([e[1:] for e in intervals])
-    val, err = _eval_panels(fv, a, b)
-    nevals = 15 * a.size
+    val, err = panels(a, b, owner)
+    spent = 15 * np.bincount(owner, minlength=ids.size)
     while True:
         # worst first within each interval; a panel is split while the
         # error it and the panels better than it leave exceeds tol_abs
@@ -380,25 +394,31 @@ def _adapt(fv, intervals, tol_abs: float, max_evals: int):
         if narrow.any():
             err[split[narrow]] = 0.0
             continue
-        room = max(0, max_evals - nevals) // 30
-        split = split[np.argsort(-err[split])[:room]]
+        split = split[np.argsort(-err[split])]
+        if independent:
+            # the worst splits of each interval that its own budget allows
+            room = np.maximum(0, max_evals - spent) // 30
+            split = np.concatenate([split[owner[split] == k][:room[k]]
+                                    for k in ids])
+        else:
+            split = split[:max(0, max_evals - int(spent.sum())) // 30]
         if not split.size:
             break
         m = 0.5 * (a[split] + b[split])
         ca, cb = np.concatenate((a[split], m)), np.concatenate((m, b[split]))
-        cv, ce = _eval_panels(fv, ca, cb)
-        nevals += 30 * split.size
+        co = np.tile(owner[split], 2)
+        cv, ce = panels(ca, cb, co)
+        spent += 30 * np.bincount(owner[split], minlength=ids.size)
         owner, a, b, val, err = (
             np.concatenate((np.delete(x, split), y)) for x, y in
-            ((owner, np.tile(owner[split], 2)), (a, ca), (b, cb), (val, cv),
-             (err, ce)))
+            ((owner, co), (a, ca), (b, cb), (val, cv), (err, ce)))
     order = np.lexsort((a, owner))
     owner, a, b, val, err = (x[order] for x in (owner, a, b, val, err))
     starts = np.searchsorted(owner, ids)
     edges = [np.append(ai, bi[-1]) for ai, bi in
              zip(np.split(a, starts[1:]), np.split(b, starts[1:]))]
     return (np.add.reduceat(val, starts), np.add.reduceat(err, starts).tolist(),
-            nevals, edges)
+            int(spent.sum()), edges)
 
 
 def _wrap_integrand(integrand, abscissa: float, conjugate_symmetric: bool):
@@ -560,27 +580,24 @@ def _nodes_from_edges(edges: np.ndarray):
 
 
 _TILE_ROWS = 16   # rows of the folded axis per broadcast tile
-# tiles per band of one set of sum-line tables: a band's classes share
-# most of their sums already, and its tables stay a few MB
-_BAND_TILES = 8
 
 
 def _pair_protocol(kernel):
     """``(axis_y, axis_z, along_sum, pair)`` of a kernel.
 
     Structured kernels (see ``payoffs.PairKernel``) bring their own; a
-    plain callable ``kernel(y, z)`` gets the nodes as its only axis data,
-    no sum data (``along_sum`` is None), and is called on the broadcast
-    tile.
+    plain callable ``kernel(y, z)`` gets a unit linear factor and the
+    nodes as its axis data, no sum data (``along_sum`` is None), and is
+    called on the broadcast tile.
     """
     if hasattr(kernel, "pair") and hasattr(kernel, "axis_y"):
         return kernel.axis_y, kernel.axis_z, kernel.along_sum, kernel.pair
 
     def axis(nodes):
-        return (nodes,)
+        return np.ones(nodes.shape), nodes
 
     def pair(ydat, zdat, sdat):
-        return kernel(*np.broadcast_arrays(ydat[0], zdat[0]))
+        return kernel(*np.broadcast_arrays(ydat[1], zdat[1]))
 
     return axis, axis, None, pair
 
@@ -604,11 +621,13 @@ def _pair_classes(mid_y, half_y, mid_z, half_z, p, q, quantum):
 
 
 def _sum_line_tables(along_sum, y_nodes, wy, z_nodes, wz, tiles):
-    """``along_sum(y + z)`` once per class of touched panel pairs.
+    """``along_sum(y + z)`` once per class of the panel pairs that any of
+    ``tiles`` touches.
 
-    The factors are evaluated on each class's first pair's own sums, in
-    chunks no larger than one tile.  Returns ``gather(lo, hi, cols)``, the
-    tuple of sum data on the tile of rows ``lo:hi`` and columns ``cols``.
+    One set of tables serves the whole tensor pass.  The factors are
+    evaluated on each class's first pair's own sums, in chunks no larger
+    than one tile.  Returns ``gather(lo, hi, cols)``, the tuple of sum data
+    on the tile of rows ``lo:hi`` and columns ``cols``.
     """
     n = _K15_NODES.size
     k = n // 2   # the middle node: the panel midpoint, weight half * W_k
@@ -659,11 +678,13 @@ def _tensor_value(kernel, Ry, Rz, vy, wy, vz, wz, symmetric: bool):
     ``|v_z| <= v_y`` of the joint conjugation/swap group is evaluated (a
     quarter of the plane), with multiplicity weights.  Axis data are
     computed once per node, and a structured kernel's sum data once per
-    band of ``_BAND_TILES`` tiles and class of panel pairs sharing their
-    node sums (``_sum_line_tables``).  Each tile of ``_TILE_ROWS`` rows
-    passes ``(r, 1)`` row views, ``(1, c)`` column views and the ``(r, c)``
-    gathered sum data to the pair kernel and is summed as
-    ``w_rows @ Re(values) @ w_cols``.
+    pass and class of panel pairs sharing their node sums
+    (``_sum_line_tables``).  Each tile of ``_TILE_ROWS`` rows passes
+    ``(r, 1)`` row views, ``(1, c)`` column views and the ``(r, c)``
+    gathered sum data to the pair kernel.  The kernel is linear in the
+    leading axis factors ``ydat[0]``, ``zdat[0]``, which ``pair`` leaves
+    out: they enter with the weights, as ``Re(u @ values @ v)`` with
+    ``u = wy ydat[0]`` and ``v = wz zdat[0]``.
     """
     axis_y, axis_z, along_sum, pair = _pair_protocol(kernel)
     if symmetric:
@@ -679,35 +700,41 @@ def _tensor_value(kernel, Ry, Rz, vy, wy, vz, wz, symmetric: bool):
         ydat = tuple(d[m:] for d in zdat)
     else:
         ydat = axis_y(y_nodes)
+    u = wy * ydat[0]
+    v = wz_full * zdat[0]
     tiles = []
     for lo in range(0, m, _TILE_ROWS):
         hi = min(lo + _TILE_ROWS, m)
         # columns [m-hi, m+hi) hold every |v_z| <= vy[hi-1]
         tiles.append((lo, hi, slice(m - hi, m + hi) if symmetric
                       else slice(None)))
+    if along_sum is not None:
+        gather = _sum_line_tables(along_sum, y_nodes, wy, z_nodes, wz_full,
+                                  tiles)
+    if symmetric:
+        v4 = 4.0 * v
     total = 0.0
     nev = 0
-    for b in range(0, len(tiles), _BAND_TILES):
-        band = tiles[b:b + _BAND_TILES]
-        if along_sum is not None:
-            gather = _sum_line_tables(along_sum, y_nodes, wy, z_nodes,
-                                      wz_full, band)
-        for lo, hi, cols in band:
-            if symmetric:
-                Y = vy[lo:hi, None]
-                A = np.abs(vz_full[cols])
-                mult = np.where(Y > A, 4.0, np.where(Y == A, 2.0, 0.0))
-            vals = pair(tuple(d[lo:hi, None] for d in ydat),
-                        tuple(d[None, cols] for d in zdat),
-                        None if along_sum is None else gather(lo, hi, cols))
-            re = np.real(vals)
-            if symmetric:
-                re = re * mult
-                nev += int(np.count_nonzero(mult))
-            else:
-                re = 2.0 * re
-                nev += re.size
-            total += float(wy[lo:hi] @ re @ wz_full[cols])
+    for lo, hi, cols in tiles:
+        vals = pair(tuple(d[lo:hi, None] for d in ydat),
+                    tuple(d[None, cols] for d in zdat),
+                    None if along_sum is None else gather(lo, hi, cols))
+        if symmetric:
+            # columns [m-lo, m+lo) lie inside |v_z| < v_y for every row
+            # (weight 4); the k outer columns on either side take 4/2/0
+            # from v_y against |v_z|
+            k = hi - lo
+            Y = vy[lo:hi, None]
+            A = vy[None, lo:hi]
+            right = np.where(Y > A, 4.0, np.where(Y == A, 2.0, 0.0))
+            row = (vals[:, k:-k] @ v4[m - lo:m + lo]
+                   + (vals[:, :k] * right[:, ::-1]) @ v[m - hi:m - lo]
+                   + (vals[:, -k:] * right) @ v[m + lo:m + hi])
+            nev += 2 * k * lo + 2 * int(np.count_nonzero(right))
+            total += float((u[lo:hi] @ row).real)
+        else:
+            nev += vals.size
+            total += 2.0 * float((u[lo:hi] @ (vals @ v)).real)
     return total, nev
 
 

@@ -67,16 +67,18 @@ class PairKernel:
     pairs.  The four members:
 
     * ``axis_y`` / ``axis_z`` map a node array to a tuple of arrays of its
-      shape.  The first is a factor the kernel is linear in: ``pair``
-      multiplies ``ydat[0] * zdat[0]`` into its value, so a measure
+      shape.  The first is a factor the kernel is linear in, so a measure
       density is folded into it on the axis.
     * ``along_sum`` maps an array of sums ``s`` to a tuple of arrays of its
       shape: the factors that depend on the pair through ``s`` alone
       (``kappa(s)`` and its exponentials).
-    * ``pair(ydat, zdat, sdat)`` combines axis data that broadcast against
-      each other -- ``(r, 1)`` row and ``(1, c)`` column views in the
-      tensor evaluator, equal-shape 1-D arrays elsewhere -- with the sum
-      data ``sdat`` of the broadcast shape.
+    * ``pair(ydat, zdat, sdat, scale=None)`` combines axis data that
+      broadcast against each other -- ``(r, 1)`` row and ``(1, c)`` column
+      views in the tensor evaluator, equal-shape 1-D arrays elsewhere --
+      with the sum data ``sdat`` of the broadcast shape.  It leaves out the
+      linear factor ``ydat[0] * zdat[0]``, which the tensor evaluator
+      takes into its contraction; other callers pass it as ``scale``, which
+      ``pair`` multiplies in first.
 
     Instances are also plain callables on broadcastable arrays, used by
     layout and tail probes.
@@ -90,8 +92,9 @@ class PairKernel:
     def __call__(self, y, z):
         y = np.atleast_1d(np.asarray(y, dtype=complex))
         z = np.atleast_1d(np.asarray(z, dtype=complex))
-        return np.asarray(self.pair(self.axis_y(y), self.axis_z(z),
-                                    self.along_sum(y + z)))
+        ydat, zdat = self.axis_y(y), self.axis_z(z)
+        return np.asarray(self.pair(ydat, zdat, self.along_sum(y + z),
+                                    ydat[0] * zdat[0]))
 
 
 @dataclass(frozen=True)
@@ -801,6 +804,12 @@ def _ridge_transverse_width(pair_kernel, Ry, Rz, c):
     return math.inf
 
 
+# ends of the inner integrals' segments [0, 256], [256, 512], ...: each
+# inner integral stops after its first small segment, at 2.1e6 at most
+_FAR_SEGMENT_ENDS = (256.0 * 2.0 ** np.arange(14)).tolist()
+_FAR_INNER_NODES = 40_000   # node budget of one inner segment
+
+
 def _far_ridge_integral(pair_kernel, Ry, Rz, c: float, tol_abs: float):
     """Exact iterated integral of the kernel over the region |Im y| > c.
 
@@ -810,32 +819,43 @@ def _far_ridge_integral(pair_kernel, Ry, Rz, c: float, tol_abs: float):
     v-integral falls off algebraically and is taken on a log scale.
     Joint conjugation supplies the v < -c half.  The companion region
     (|Im z| > c, |Im y| <= c) carries no ridge and is controlled by the
-    axis criterion.  Returns ``(value, error_estimate)``.
+    axis criterion.  The inner integrals at the 15 nodes of an outer panel
+    run together, one multi-interval ``_adapt`` per u-segment, in which
+    each keeps its own panels and node budget.  Returns ``(value,
+    error_estimate)``.
     """
     inner_tol = 0.05 * tol_abs * c
 
-    def g(v):
-        # y is fixed on the inner integral: its axis data are taken once
-        y = np.array([Ry + 1j * v])
+    def inner(v):
+        # y is fixed on each inner integral: its axis data are taken once
+        y = Ry + 1j * v
         ydat = pair_kernel.axis_y(y)
+        vals = [0.0 + 0j] * v.size
+        errs = [0.0] * v.size
+        live = np.arange(v.size)
+        lo = 0.0
 
-        def fu_pair(uu):
+        def fu_pair(uu, k):
             n = uu.size
-            z = Rz + 1j * (np.concatenate((uu, -uu)) - v)
-            vals = pair_kernel.pair(ydat, pair_kernel.axis_z(z),
-                                    pair_kernel.along_sum(y + z))
-            return vals[:n] + vals[n:]
+            i = np.tile(live[k], 2)
+            z = Rz + 1j * (np.concatenate((uu, -uu)) - v[i])
+            yd, zdat = tuple(d[i] for d in ydat), pair_kernel.axis_z(z)
+            out = pair_kernel.pair(yd, zdat, pair_kernel.along_sum(y[i] + z),
+                                   yd[0] * zdat[0])
+            return out[:n] + out[n:]
 
-        val, err, lo = 0.0 + 0j, 0.0, 0.0
-        for U in (256.0 * 2.0 ** np.arange(14)).tolist():   # up to 2.1e6
-            (seg,), (e,), _, _ = numerics._adapt(
-                fu_pair, [np.linspace(lo, U, 9)], inner_tol, 40_000)
-            val += seg
-            err += e
-            if abs(seg) < inner_tol:
+        for U in _FAR_SEGMENT_ENDS:
+            segs, es, _, _ = numerics._adapt(
+                fu_pair, [np.linspace(lo, U, 9)] * live.size, inner_tol,
+                _FAR_INNER_NODES, independent=True)
+            for i, seg, e in zip(live.tolist(), segs, es):
+                vals[i] += seg
+                errs[i] += e
+            live = live[~(np.abs(segs) < inner_tol)]
+            if not live.size:
                 break
             lo = U
-        return val, err
+        return vals, errs
 
     # outer integral on v = c e^t
     total = 0.0 + 0j
@@ -845,12 +865,12 @@ def _far_ridge_integral(pair_kernel, Ry, Rz, c: float, tol_abs: float):
     prev_small = 0
     for a, b in zip(t_edges[:-1], t_edges[1:]):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        ts = [mid + half * node for node in numerics._K15_NODES]
+        gv, ge = inner(np.array([c * math.exp(t) for t in ts]))
         seg = 0.0 + 0j
-        for node, wgt in zip(numerics._K15_NODES, numerics._K15_WEIGHTS):
-            t = mid + half * node
-            gv, ge = g(c * math.exp(t))
-            seg += half * wgt * gv * c * math.exp(t)
-            err_total += half * wgt * ge * c * math.exp(t)
+        for t, wgt, gvi, gei in zip(ts, numerics._K15_WEIGHTS, gv, ge):
+            seg += half * wgt * gvi * c * math.exp(t)
+            err_total += half * wgt * gei * c * math.exp(t)
         total += seg
         if abs(seg) < 0.02 * tol_abs:
             prev_small += 1

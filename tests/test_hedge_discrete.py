@@ -178,9 +178,8 @@ def geometric_ratio(a, m, N):
     a = np.asarray(a, dtype=complex)
     m = np.asarray(m, dtype=complex)
     with np.errstate(all="ignore"):
-        a_pow, m_pow, log_m = a ** N, m ** N, np.log(m)
-    return hd.DiscreteHedgeCoefficients._geometric_ratio(
-        a, a_pow, m, m_pow, log_m, N)
+        a_pow, m_pow = a ** N, m ** N
+    return hd.DiscreteHedgeCoefficients._geometric_ratio(a, a_pow, m, m_pow, N)
 
 
 def test_degenerate_branch_continuity():

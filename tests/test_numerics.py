@@ -107,11 +107,11 @@ def test_k1_conjugate_symmetry(re, im):
     assert bessel_k1(np.conj(w)) == np.conj(bessel_k1(w))
 
 
-# a 2-D array mixing the series (|w| < 2), its boundary, both Gauss-Laguerre
-# rules (2 <= |w| < 5 and 5 <= |w| < 20) and Hankel's expansion
+# a 2-D array mixing the series (|w| < 1.5), its boundary, both Gauss-Laguerre
+# rules (1.5 <= |w| < 5 and 5 <= |w| < 20) and Hankel's expansion
 # (|w| >= 20), as contours pass them
 _W_MIXED = np.array([
-    [0.3 + 0.2j, 1.1 - 1.4j, 2.0 + 0.0j, 1.2 + 1.6j],
+    [0.3 + 0.2j, 1.1 - 1.4j, 1.5 + 0.0j, 1.2 + 1.6j],
     [1.5 + 9.0j, 4.5 - 3.0j, 12.0 + 14.0j, 0.6 - 1.2j],
     [7.0 + 0.0j, 0.9 + 0.0j, 2.5 - 0.5j, 3.0 - 14.5j],
     [25.0 + 0.0j, 6.0 + 21.0j, 30.0 - 12.0j, 2.5 - 40.0j],
@@ -151,9 +151,8 @@ def test_k1_elements_match_their_batch():
 
 
 def test_k1e_mpmath_across_the_middle_band():
-    # the Gauss-Laguerre regime, 2 <= |w| < 20, from its lower edge across
-    # the seam of its two rules at 5 to the Hankel seam, up to 1e-9 from the
-    # imaginary axis
+    # the Gauss-Laguerre regime from |w| = 2 across the seam of its two
+    # rules at 5 to the Hankel seam, up to 1e-9 from the imaginary axis
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 30
     r = np.array([2.0, 2.0001, 3.0, 4.0, 4.9999, 5.0, 6.0, 8.6, 12.0, 19.99])
@@ -183,6 +182,21 @@ _K1E_MIDDLE_BAND = [
     (0.0001 - 19.9j, 0.1949816884306965486402834 + 0.202462876870719335409631j),
     (19.99 + 0j, 0.2854994321517989394973775 + 0.0j),
 ]
+
+
+def test_k1_mpmath_across_the_series_seam():
+    # the series ends and the 48-node Gauss-Laguerre rule starts at
+    # |w| = 1.5; both sides, up to 1e-9 from the imaginary axis
+    mp = pytest.importorskip("mpmath")
+    r = np.array([1.25, 1.5, 1.75, 1.9, 1.9999999999999998])
+    arg = np.linspace(-1.0, 1.0, 9) * (0.5 * math.pi - 1e-9)
+    w = (r[:, None] * np.exp(1j * arg)).ravel()
+    with mp.workdps(30):
+        for wk, k1, k1e in zip(w, bessel_k1(w), numerics.bessel_k1e(w)):
+            want = mp.besselk(1, mp.mpc(wk))
+            assert abs(k1 - complex(want)) <= 1e-15 * abs(want), f"w={wk}"
+            want = complex(want * mp.exp(mp.mpc(wk)))
+            assert abs(k1e - want) <= 1e-15 * abs(want), f"w={wk}"
 
 
 def test_k1e_frozen_middle_band_table():
@@ -413,6 +427,32 @@ def test_adapt_intervals_run_together_equal_separate_runs():
         assert abs(v - _peak_integral(c[0], c[-1])) <= e + 1e-12 * abs(v)
         total += n
     assert nevals == total
+
+
+def test_adapt_independent_intervals_keep_their_own_budgets():
+    # peaks of widths 1e-3 to 1e-1, one per interval; the integrand learns
+    # each node's interval, and every interval adapts as it would alone
+    widths = np.array([1e-3, 1e-2, 1e-1, 1e-3])
+
+    def peaks(v, k):
+        return widths[k] / (widths[k] ** 2 + (v - 2.3) ** 2) + 0j
+
+    cuts = [np.linspace(0.0, 10.0, 9)] * widths.size
+    for budget in (600, 200_000):
+        values, errors, nevals, edges = numerics._adapt(
+            peaks, cuts, 1e-8, budget, independent=True)
+        total = 0
+        for k, c in enumerate(cuts):
+            (v,), (e,), n, (ed,) = numerics._adapt(
+                lambda x: peaks(x, np.full(x.shape, k)), [c], 1e-8, budget)
+            assert np.array_equal(ed, edges[k])
+            assert values[k] == v
+            assert errors[k] == pytest.approx(e, rel=1e-12)
+            assert n <= max(budget, 120)
+            total += n
+        assert nevals == total
+    # so the budget of 600 binds
+    assert nevals > 600 * widths.size
 
 
 def test_double_contour_zero_kernel():
