@@ -186,11 +186,14 @@ _K1E_MIDDLE_BAND = [
 
 def test_k1_mpmath_across_the_series_seam():
     # the series ends and the 48-node Gauss-Laguerre rule starts at
-    # |w| = 1.5; both sides, up to 1e-9 from the imaginary axis
+    # |w| = 1.5; both sides, up to 1e-9 from the imaginary axis.  The last
+    # point, with |w| just below 2, is where the series, which used to run
+    # up to 2, was off by 1.8e-15
     mp = pytest.importorskip("mpmath")
     r = np.array([1.25, 1.5, 1.75, 1.9, 1.9999999999999998])
     arg = np.linspace(-1.0, 1.0, 9) * (0.5 * math.pi - 1e-9)
-    w = (r[:, None] * np.exp(1j * arg)).ravel()
+    w = np.append(r[:, None] * np.exp(1j * arg),
+                  1.420559556288615 - 1.407838963460343j)
     with mp.workdps(30):
         for wk, k1, k1e in zip(w, bessel_k1(w), numerics.bessel_k1e(w)):
             want = mp.besselk(1, mp.mpc(wk))
