@@ -836,6 +836,7 @@ def _far_ridge_integral(pair_kernel, Ry, Rz, c: float, tol_abs: float):
         lo = 0.0
 
         def fu_pair(uu, k):
+            # k: each node's interval in the current run, one per live v
             n = uu.size
             i = np.tile(live[k], 2)
             z = Rz + 1j * (np.concatenate((uu, -uu)) - v[i])
