@@ -219,7 +219,10 @@ class DiscreteHedgeCoefficients:
         model, N, dt = self.model, self.N, self.dt
         m1, m2 = self.m1, self.m2
         a_root = math.sqrt((m2 - m1 ** 2) / (m2 - 2.0 * m1 + 1.0))
-        var1 = m2 - m1 ** 2
+        # numpy divides a complex array by a real one as by a complex
+        # number, at several times the cost; its quotient by a real is the
+        # product with the reciprocal, bit for bit
+        inv_var1 = 1.0 / (m2 - m1 ** 2)
         ln_s0 = math.log(S0)
 
         # everything that depends on one axis only: S0^z, the moment terms
@@ -240,7 +243,8 @@ class DiscreteHedgeCoefficients:
             _, _, my1, m2_my, m1_my1, m1_my, ay, ay_n = ydat
             _, mz, mz1, _, _, _, az, az_n = zdat
             myz, myz_n = sdat
-            b = myz - (m2_my * mz - m1_my1 * mz - m1_my * mz1 + my1 * mz1) / var1
+            b = myz - (m2_my * mz - m1_my1 * mz - m1_my * mz1
+                       + my1 * mz1) * inv_var1
             if scale is not None:
                 b = scale * b
             return b * self._geometric_ratio(ay * az, ay_n * az_n, myz, myz_n,

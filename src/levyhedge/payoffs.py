@@ -882,15 +882,96 @@ def _far_ridge_integral(pair_kernel, Ry, Rz, c: float, tol_abs: float):
     return 2.0 * total.real, err_total + abs(seg)
 
 
+def _group_kernel(kernel, group_y, group_z):
+    """The :class:`PairKernel` of a block between two groups of lines on
+    one abscissa each: each axis's linear factor carries its group's
+    summed density.  A block within one group shares one axis function,
+    which lets the tensor evaluator take the folded axis from the full
+    one."""
+    def with_density(axis, group):
+        def axis_group(zn):
+            scale, *rest = axis(zn)
+            density = group[0].density(zn)
+            for line in group[1:]:
+                density = density + line.density(zn)
+            return (scale * density, *rest)
+        return axis_group
+
+    axis_y = with_density(kernel.axis_y, group_y)
+    axis_z = (axis_y if group_z is group_y
+              else with_density(kernel.axis_z, group_z))
+    return PairKernel(axis_y, axis_z, kernel.along_sum, kernel.pair)
+
+
+def _plan_pair(kernel, li: Line, lj: Line, tol_abs: float, diagonal: bool):
+    """Truncation plan of the block between lines ``li`` (y) and ``lj``
+    (z) alone, or of one line with itself if ``diagonal``:
+    ``(cy, cz, tails, needs_far_part, ridge_width)``."""
+    group_y = [li]
+    pair_kernel = _group_kernel(kernel, group_y,
+                                group_y if diagonal else [lj])
+    Ri, Rj = li.abscissa, lj.abscissa
+
+    def along(dy, dz):
+        # the kernel at y = Ri + i dy v, z = Rj + i dz v
+        return lambda v: pair_kernel(Ri + 1j * (dy * v), Rj + 1j * (dz * v))
+
+    ci, tail_i, far_i = _pair_truncation(along(1.0, 0.0), along(1.0, -1.0),
+                                         tol_abs)
+    cj, tail_j, far_j = _pair_truncation(along(0.0, 1.0), along(-1.0, 1.0),
+                                         tol_abs)
+    far = far_i or far_j
+    if far:
+        ci = cj = max(ci, cj)
+    width = _ridge_transverse_width(pair_kernel, Ri, Rj, max(ci, cj))
+    return ci, cj, (tail_i, tail_j), far, width
+
+
+def _plan_block(kernel, group_y, group_z, tol_abs: float):
+    """Truncation plan of the block between two groups of lines, taken
+    from the plans of its line pairs as each would be planned alone.
+
+    Heights are the largest of the pairs', tails are summed, the far
+    ridge runs if any pair needs it, and the panel-width cap is the
+    smallest.  Probing the summed kernel instead is unsafe: two nearby
+    strikes' densities beat, so their sum can cancel at a probe height
+    where its parts do not.  Within one group the mirror of a distinct
+    pair is planned by swapping its axes.  Returns ``(cy, cz, tails,
+    needs_far_part, max_panel_width)``.
+    """
+    same = group_z is group_y
+    cy = cz = 0.0
+    tails, far, width = [], False, math.inf
+    for i, li in enumerate(group_y):
+        for j in range(i if same else 0, len(group_z)):
+            diagonal = same and j == i
+            ci, cj, pair_tails, pair_far, pair_width = _plan_pair(
+                kernel, li, group_z[j], tol_abs, diagonal)
+            mirrored = same and not diagonal
+            cy = max(cy, ci, cj if mirrored else ci)
+            cz = max(cz, cj, ci if mirrored else cj)
+            tails += pair_tails * (2 if mirrored else 1)
+            far = far or pair_far
+            width = min(width, pair_width)
+    if far:
+        cy = cz = max(cy, cz)
+    # the uniform-refinement error check guards the ridge already; the
+    # cap only needs to bring it within reach
+    return cy, cz, tails, far, width * (1.5 if far else 3.0)
+
+
 def double_integrate_measure(measure: TransformMeasure, kernel, *,
                              tol_abs: float = 1e-8) -> QuadratureResult:
     """``integral of kernel(y, z) Pi(dy) Pi(dz)`` for a symmetric kernel.
 
     ``kernel`` is a :class:`PairKernel`, symmetric in (y, z) and
-    conjugate-symmetric under joint conjugation.  Line-line blocks use
-    tensor quadrature (distinct line pairs are folded into one evaluation
-    with weight two), with each line's density multiplied into the
-    leading axis factor; line-point blocks reduce to single contour
+    conjugate-symmetric under joint conjugation.  The integral is bilinear
+    in ``Pi``, so lines on one abscissa are integrated together: each
+    pair of abscissas is one tensor block, with the summed density of
+    each abscissa's lines multiplied into its leading axis factor (see
+    ``_plan_block`` for its truncation).  A block within one abscissa
+    folds the swap of y and z; a block between two is evaluated once
+    with weight two.  Line-point blocks reduce to single contour
     integrals; point-point blocks are evaluated directly.  A missed
     tolerance is flagged, not warned about.
     """
@@ -901,48 +982,27 @@ def double_integrate_measure(measure: TransformMeasure, kernel, *,
     nodes = 0
     converged = True
 
-    def with_density(axis, line):
-        def axis_line(zn):
-            scale, *rest = axis(zn)
-            return (scale * line.density(zn), *rest)
-        return axis_line
-
-    for i, li in enumerate(lines):
-        for j in range(i, len(lines)):
-            lj = lines[j]
-            factor = 1.0 if i == j else 2.0
-            axis_i = with_density(kernel.axis_y, li)
-            axis_j = axis_i if i == j else with_density(kernel.axis_z, lj)
-            pair_kernel = PairKernel(axis_i, axis_j, kernel.along_sum,
-                                     kernel.pair)
-            Ri, Rj = li.abscissa, lj.abscissa
-
-            def along(dy, dz):
-                # the kernel at y = Ri + i dy v, z = Rj + i dz v
-                return lambda v: pair_kernel(Ri + 1j * (dy * v),
-                                             Rj + 1j * (dz * v))
-
-            ci, tail_i, far_i = _pair_truncation(along(1.0, 0.0),
-                                                 along(1.0, -1.0), tol_abs)
-            cj, tail_j, far_j = _pair_truncation(along(0.0, 1.0),
-                                                 along(-1.0, 1.0), tol_abs)
-            if far_i or far_j:
-                ci = cj = max(ci, cj)
-            width = _ridge_transverse_width(pair_kernel, Ri, Rj, max(ci, cj))
-            # the uniform-refinement error check guards the ridge already;
-            # the cap only needs to bring it within reach
-            width *= 1.5 if (far_i or far_j) else 3.0
-            budget_axis = int(math.sqrt(_PAIR_NODES))
-            cy = ContourSpec(li.abscissa, ci, budget_axis)
-            cz = ContourSpec(lj.abscissa, cj, budget_axis)
+    groups = {}
+    for line in lines:
+        groups.setdefault(line.abscissa, []).append(line)
+    groups = list(groups.values())
+    budget_axis = int(math.sqrt(_PAIR_NODES))
+    for i, gi in enumerate(groups):
+        for gj in groups[i:]:
+            same = gj is gi
+            factor = 1.0 if same else 2.0
+            ci, cj, tails, far, width = _plan_block(kernel, gi, gj, tol_abs)
+            pair_kernel = _group_kernel(kernel, gi, gj)
+            Ri, Rj = gi[0].abscissa, gj[0].abscissa
             res = numerics.double_contour_integrate(
-                pair_kernel, cy, cz, tol_abs=tol_abs / factor,
-                symmetric=(i == j), max_panel_width=width)
+                pair_kernel, ContourSpec(Ri, ci, budget_axis),
+                ContourSpec(Rj, cj, budget_axis), tol_abs=tol_abs / factor,
+                symmetric=same, max_panel_width=width)
             block = res.value
-            block_err = res.error_estimate + tail_i + tail_j
-            if far_i or far_j:
-                far_val, far_err = _far_ridge_integral(
-                    pair_kernel, li.abscissa, lj.abscissa, ci, tol_abs)
+            block_err = sum(tails, res.error_estimate)
+            if far:
+                far_val, far_err = _far_ridge_integral(pair_kernel, Ri, Rj,
+                                                       ci, tol_abs)
                 block += far_val
                 block_err += far_err
             total += factor * block

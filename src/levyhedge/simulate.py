@@ -172,6 +172,22 @@ def _continuous_weight(coeffs: hg.ContinuousHedgeCoefficients, taus):
     return weight
 
 
+def _linear_pieces(s_grid, tab):
+    """The linear pieces of ``np.interp(x, s_grid, row)`` for each row of a
+    finite ``tab``: slopes and left values, formed as numpy forms them.
+
+    Piece ``i = np.searchsorted(s_grid, x, side="right")`` gives
+    ``slope[:, i] * (x - left_spot) + left[:, i]``, where the left spot is
+    ``s_grid[max(i - 1, 0)]``.  Pieces 0 and ``len(s_grid)`` are flat,
+    holding the end values beyond either end, so the result equals
+    ``np.interp``'s everywhere (a zero may differ in its sign).
+    """
+    flat = np.zeros((tab.shape[0], 1))
+    slopes = np.diff(tab, axis=1) / np.diff(s_grid)
+    return (np.concatenate((flat, slopes, flat), axis=1),
+            np.concatenate((tab[:, :1], tab), axis=1))
+
+
 def _check_backtest(model, payoff, n_paths: int) -> None:
     # before any quadrature: a model without a sampler, or a payoff
     # without a closed form to settle the paths with, fails at once
@@ -205,6 +221,9 @@ def _backtest(coeffs, weight, steps: int, payoff, S0: float, n_paths: int,
                                               tol_abs=tol * (1.0 + S0))
     xi_tab, h_tab = rows[:steps] / s_grid, rows[steps:]
     lam = coeffs.lambda_feedback
+    s_left = np.concatenate((s_grid[:1], s_grid))
+    xi_slope, xi_left = _linear_pieces(s_grid, xi_tab)
+    h_slope, h_left = _linear_pieces(s_grid, h_tab)
     sums = []
     clamped = 0
     for dx in _increment_chunks(model, coeffs.T / steps, steps, n_paths, seed,
@@ -216,9 +235,12 @@ def _backtest(coeffs, weight, steps: int, payoff, S0: float, n_paths: int,
         for k in range(steps):
             np.minimum(s_lo, s_prev, out=s_lo)
             np.maximum(s_hi, s_prev, out=s_hi)
-            phi = np.interp(s_prev, s_grid, xi_tab[k])
+            # np.interp on both tables from one grid search
+            piece = np.searchsorted(s_grid, s_prev, side="right")
+            dist = s_prev - s_left.take(piece)
+            phi = xi_slope[k].take(piece) * dist + xi_left[k].take(piece)
             if lam != 0.0:
-                h_prev = np.interp(s_prev, s_grid, h_tab[k])
+                h_prev = h_slope[k].take(piece) * dist + h_left[k].take(piece)
                 phi = phi + lam / s_prev * (h_prev - capital - gains)
             s_next = s_prev * np.exp(dx[:, k])
             gains += phi * (s_next - s_prev)

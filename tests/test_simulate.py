@@ -179,6 +179,24 @@ def test_backtest_reports_clamped_paths(mode, monkeypatch):
     assert 0 < narrow.clamped_paths <= narrow.n_paths
 
 
+def test_linear_pieces_are_np_interp_bit_for_bit():
+    grid = sim._spot_grid(NIG_FIT, lh.call(99.0), 100.0, 0.25)
+    rows = np.random.default_rng(8).standard_normal((3, grid.size))
+    slope, left = sim._linear_pieces(grid, rows)
+    lo, hi = grid[0], grid[-1]
+    spots = np.concatenate((
+        [0.5 * lo, np.nextafter(lo, 0.0), lo, np.nextafter(lo, np.inf),
+         np.nextafter(hi, 0.0), hi, np.nextafter(hi, np.inf), 2.0 * hi],
+        grid,                                       # every node exactly
+        np.random.default_rng(9).uniform(0.9 * lo, 1.1 * hi, 5000)))
+    piece = np.searchsorted(grid, spots, side="right")
+    left_spot = np.concatenate((grid[:1], grid))[piece]
+    for k, row in enumerate(rows):
+        got = slope[k, piece] * (spots - left_spot) + left[k, piece]
+        want = np.interp(spots, grid, row)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_backtest_settles_against_the_closed_form_payoff():
     # one date: the terminal error is V0 + xi_1 (S_1 - S_0) - 1{S_1 > K}
     # on the backtest's own draws, with no table of the payoff in it

@@ -86,7 +86,7 @@ def _line_kernels(monkeypatch, run):
 
 @pytest.mark.parametrize("mode", ["discrete", "continuous"])
 def test_tiles_match_direct_sum_error_variance_kernels(mode, monkeypatch):
-    spread = lh.call(95.0) - lh.call(105.0)
+    spread = lh.call(95.0) - lh.call(105.0, abscissa=2.0)
     if mode == "discrete":
         co = lh.coefficients(NIG_FIT, 0.25, 12)
         blocks = _line_kernels(
@@ -122,7 +122,7 @@ def test_tiles_share_sum_classes_on_even_panels(monkeypatch):
             + 1.0 / (4.0 + y + 2.0 * z)
 
     _check_tiles(plain, 0.5, 1.5, False, EVEN, EVEN)
-    spread = lh.call(95.0) - lh.call(105.0)
+    spread = lh.call(95.0) - lh.call(105.0, abscissa=2.0)
     blocks = []
     for co in (lh.coefficients(NIG_FIT, 0.25, 12),
                lh.coefficients_ct(NIG_FIT, 0.25)):
