@@ -340,6 +340,12 @@ _G7_WEIGHTS = np.array([
     0.129484966168870,
 ])
 _G7_IDX = np.arange(1, 15, 2)
+_K15 = (_K15_NODES, _K15_WEIGHTS)
+# 12-point Gauss-Legendre: K15's polynomial degree (23) on 12 nodes, and
+# at least as fast on analytic integrands.  The tensor passes of the
+# double contour run on it; everything that needs K15's G7 error
+# estimate or K15's coarse-probe accuracy stays on K15.
+_G12 = np.polynomial.legendre.leggauss(12)
 
 
 def _eval_panels(fv, a, b, owner=None):
@@ -569,13 +575,18 @@ def _axis_layout(kernel, cy: ContourSpec, cz: ContourSpec, tol_abs: float,
     return edges
 
 
-def _nodes_from_edges(edges: np.ndarray):
-    a = edges[:-1]
-    b = edges[1:]
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    v = (mid[:, None] + half[:, None] * _K15_NODES[None, :]).ravel()
-    w = (half[:, None] * _K15_WEIGHTS[None, :]).ravel()
+def _mids_halves(edges: np.ndarray):
+    """Midpoints and half-widths of the panels between ``edges``."""
+    return 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+
+
+def _nodes_from_edges(edges: np.ndarray, rule):
+    """Nodes and weights of ``rule = (nodes, weights)`` on [-1, 1] mapped
+    onto each panel between ``edges``, panel by panel."""
+    x, wx = rule
+    mid, half = _mids_halves(edges)
+    v = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    w = (half[:, None] * wx[None, :]).ravel()
     return v, w
 
 
@@ -620,27 +631,30 @@ def _pair_classes(mid_y, half_y, mid_z, half_z, p, q, quantum):
     return cls, first
 
 
-def _sum_line_tables(along_sum, y_nodes, wy, z_nodes, wz, tiles):
+def _sum_line_tables(along_sum, n, y_nodes, edges_y, z_nodes, edges_z,
+                     tiles):
     """``along_sum(y + z)`` once per class of the panel pairs that any of
     ``tiles`` touches.
 
+    ``n`` is the rule's node count per panel; ``z_nodes`` cover the full
+    axis, the mirror of the panels between ``edges_z`` and those panels.
     One set of tables serves the whole tensor pass.  The factors are
     evaluated on each class's first pair's own sums, in chunks no larger
     than one tile.  Returns ``gather(lo, hi, cols)``, the tuple of sum data
     on the tile of rows ``lo:hi`` and columns ``cols``.
     """
-    n = _K15_NODES.size
-    k = n // 2   # the middle node: the panel midpoint, weight half * W_k
-    vy, vz = y_nodes.imag, z_nodes.imag
-    touched = np.zeros((vy.size // n, vz.size // n), dtype=bool)
+    mid_y, half_y = _mids_halves(edges_y)
+    mid_z, half_z = _mids_halves(edges_z)
+    mid_z = np.concatenate((-mid_z[::-1], mid_z))
+    half_z = np.concatenate((half_z[::-1], half_z))
+    touched = np.zeros((mid_y.size, mid_z.size), dtype=bool)
     for lo, hi, cols in tiles:
-        c0, c1, _ = cols.indices(vz.size)
+        c0, c1, _ = cols.indices(z_nodes.size)
         touched[lo // n:(hi - 1) // n + 1, c0 // n:(c1 - 1) // n + 1] = True
     p, q = np.nonzero(touched)
     # a grid far below any panel width, far above the layout's rounding
-    quantum = 2.0 ** -40 * max(vy[-1], vz[-1])
-    cls, first = _pair_classes(vy[k::n], wy[k::n], vz[k::n], wz[k::n], p, q,
-                               quantum)
+    quantum = 2.0 ** -40 * max(edges_y[-1], edges_z[-1])
+    cls, first = _pair_classes(mid_y, half_y, mid_z, half_z, p, q, quantum)
     cls_base = np.zeros(touched.shape, dtype=np.intp)   # read where touched
     cls_base[p, q] = cls * (n * n)
     first_rows = (n * p[first])[:, None] + np.arange(n)
@@ -656,8 +670,8 @@ def _sum_line_tables(along_sum, y_nodes, wy, z_nodes, wz, tiles):
                            for t in part)
         for t, x in zip(tables, part):
             t[i * n * n:i * n * n + x.size] = x
-    row_panel, row_node = np.divmod(np.arange(vy.size), n)
-    col_panel, col_node = np.divmod(np.arange(vz.size), n)
+    row_panel, row_node = np.divmod(np.arange(y_nodes.size), n)
+    col_panel, col_node = np.divmod(np.arange(z_nodes.size), n)
 
     def gather(lo, hi, cols):
         idx = (cls_base[row_panel[lo:hi, None], col_panel[None, cols]]
@@ -667,11 +681,12 @@ def _sum_line_tables(along_sum, y_nodes, wy, z_nodes, wz, tiles):
     return gather
 
 
-def _tensor_value(kernel, Ry, Rz, vy, wy, vz, wz, symmetric: bool):
+def _tensor_value(kernel, Ry, Rz, edges_y, edges_z, rule, symmetric: bool):
     """Tensor-product sum with conjugation folding, on broadcast tiles.
 
-    ``vy`` lives on [0, c] (folded axis), ``vz`` on the full symmetric
-    range; both come in 15-node Kronrod panels (``_nodes_from_edges``).
+    The panels between ``edges_y`` on [0, c] make the folded axis, those
+    between ``edges_z`` and their mirror the full symmetric range; each
+    panel carries the nodes of ``rule`` (``_nodes_from_edges``).
     Conjugating both variables conjugates the kernel, so the
     integral equals twice the real part of the folded sum.  When
     ``symmetric`` and the contours coincide, only the fundamental domain
@@ -688,7 +703,9 @@ def _tensor_value(kernel, Ry, Rz, vy, wy, vz, wz, symmetric: bool):
     """
     axis_y, axis_z, along_sum, pair = _pair_protocol(kernel)
     if symmetric:
-        vz, wz = vy, wy
+        edges_z = edges_y
+    vy, wy = _nodes_from_edges(edges_y, rule)
+    vz, wz = (vy, wy) if symmetric else _nodes_from_edges(edges_z, rule)
     m = vy.size
     vz_full = np.concatenate((-vz[::-1], vz))
     wz_full = np.concatenate((wz[::-1], wz))
@@ -709,8 +726,8 @@ def _tensor_value(kernel, Ry, Rz, vy, wy, vz, wz, symmetric: bool):
         tiles.append((lo, hi, slice(m - hi, m + hi) if symmetric
                       else slice(None)))
     if along_sum is not None:
-        gather = _sum_line_tables(along_sum, y_nodes, wy, z_nodes, wz_full,
-                                  tiles)
+        gather = _sum_line_tables(along_sum, rule[0].size, y_nodes, edges_y,
+                                  z_nodes, edges_z, tiles)
     if symmetric:
         v4 = 4.0 * v
     total = 0.0
@@ -752,8 +769,15 @@ def double_contour_integrate(kernel, contour_y: ContourSpec,
     this package); the result is real.  Declaring ``symmetric=True``
     (kernel(y,z) == kernel(z,y) with identical contours) halves the kernel
     evaluations.  Principal-value
-    contours use jointly symmetric truncation by construction.  The error
-    estimate comes from one uniform refinement of the shared panel layout.
+    contours use jointly symmetric truncation by construction.
+
+    The base pass and any refinement passes put 12-point Gauss-Legendre
+    nodes on each panel: K15's polynomial degree on 12 nodes, so 144 node
+    pairs per panel pair instead of 225.  The error estimate compares the
+    base pass against a half-resolution pass on K15 panels, a quarter of
+    the base panel pairs; on G12 that coarse pass is the less accurate,
+    and its larger estimates would refine cells that need no refinement.
+    A failed estimate escalates to uniform refinement of the layout.
     """
     symmetric = symmetric and (contour_y == contour_z)
     axis_tol = 0.1 * tol_abs
@@ -766,10 +790,8 @@ def double_contour_integrate(kernel, contour_y: ContourSpec,
                                max_panel_width)
     Ry, Rz = contour_y.abscissa, contour_z.abscissa
 
-    def run(ey, ez):
-        vy, wy = _nodes_from_edges(ey)
-        vz, wz = _nodes_from_edges(ez)
-        return _tensor_value(kernel, Ry, Rz, vy, wy, vz, wz, symmetric)
+    def run(ey, ez, rule=_G12):
+        return _tensor_value(kernel, Ry, Rz, ey, ez, rule, symmetric)
 
     val1, n1 = run(edges_y, edges_z)
 
@@ -783,7 +805,7 @@ def double_contour_integrate(kernel, contour_y: ContourSpec,
 
     # error probe against a half-resolution pass first (quarter the cost);
     # escalate to genuine refinement only when it fails the tolerance
-    val0, n0 = run(coarsen(edges_y), coarsen(edges_z))
+    val0, n0 = run(coarsen(edges_y), coarsen(edges_z), _K15)
     err = abs(val1 - val0)
     n2 = 0
     val = val1

@@ -429,16 +429,19 @@ def tail_completion(line: Line, s_sel, cs, weight3=None):
 
         2 Re[ e^{ic omega} ( i phi(c)/omega - phi'(c)/omega^2 ) ],
 
-    phi' by central difference.  The frequency omega is *measured* from
-    the probes rather than assumed: damping weights (moment functions to
-    powers) shift the phase velocity away from log(s/K), and the measured
-    value keeps the expansion valid for them too.  Points whose measured
-    ``c |omega|`` is too small for the expansion get no correction and a
-    conservative residual instead.  ``weight3`` is an optional vectorized
-    map applied to the (3, n) probe matrix; it may embed per-point
-    factors, and it may return a leading row axis ``(rows, 3, n)`` to
-    complete every row at once.  Returns ``(correction,
-    residual_estimate)`` per point, with the weight's row axis if any.
+    phi' by central difference.  With ``phi = f e^{-iv omega}`` this is
+    ``2 Re[i f(c)/omega - (f(c+d) e^{-id omega} - f(c-d) e^{id omega})
+    / (2 d omega^2)]``, which is how it is evaluated.  The frequency omega
+    is *measured* from the probes rather than assumed: damping weights
+    (moment functions to powers) shift the phase velocity away from
+    log(s/K), and the measured value keeps the expansion valid for them
+    too.  Points whose measured ``c |omega|`` is too small for the
+    expansion get no correction and a conservative residual instead.
+    ``weight3`` is an optional vectorized map applied to the (3, n) probe
+    matrix; it may embed per-point factors, and it may return a leading
+    row axis ``(rows, 3, n)`` to complete every row at once.  Returns
+    ``(correction, residual_estimate)`` per point, with the weight's row
+    axis if any.
     """
     s_sel = np.asarray(s_sel, dtype=float)
     cs = np.asarray(cs, dtype=float)
@@ -459,13 +462,14 @@ def tail_completion(line: Line, s_sel, cs, weight3=None):
     valid = (~dead) & (np.abs(omega) * cs >= 0.9 * _CX_MIN) \
         & (np.abs(omega) * d < 1.4)
     omega = np.where(valid, omega, 1.0)
-    phi = f3 * np.exp(-1j * v3 * omega[..., None, :])
-    p0, pp, pm = (phi[..., i, :] for i in range(3))
-    dphi = (pp - pm) / (2.0 * d)
-    d2phi = (pp - 2.0 * p0 + pm) / (d * d)
-    tail = 2.0 * np.real(np.exp(1j * cs * omega)
-                         * (1j * p0 / omega - dphi / (omega * omega)))
-    resid = 2.0 * np.abs(d2phi) / np.abs(omega) ** 3
+    # phi = f e^{-i v omega}; its carrier e^{-i c omega} cancels in the
+    # tail and drops out of |phi''|, so only the probes' offsets +-d from
+    # c enter, through one exponential
+    shift = np.exp(-1j * d * omega)
+    fp, fm = fp * shift, fm * np.conj(shift)
+    tail = 2.0 * np.real(1j * f0 / omega
+                         - (fp - fm) / (2.0 * d * omega * omega))
+    resid = 2.0 * np.abs(fp - 2.0 * f0 + fm) / (d * d * np.abs(omega) ** 3)
     tail = np.where(valid, tail, 0.0)
     # without a usable expansion the direct envelope bound is all we have
     resid = np.where(valid, resid, np.abs(f0) * cs)
@@ -667,7 +671,7 @@ def _line_rows(line: Line, s_grid, ln_s, terms, tol_abs, times):
     cut = edges[np.minimum(np.searchsorted(edges, c_per_s), edges.size - 1)]
 
     def values_on(edges_, idx):
-        v, w = numerics._nodes_from_edges(edges_)
+        v, w = numerics._nodes_from_edges(edges_, numerics._K15)
         z = line.abscissa + 1j * v
         rows, rate = terms(z)
         return _kept_cell_sums(rows * (w * line.density(z)), z, rate, v,

@@ -80,6 +80,9 @@ def test_block_plan_covers_every_line_pair(monkeypatch):
 
 # each payoff as pieces a + b S between its kinks
 PIECES = {
+    "call": ([0.0, 99.0, math.inf], [(0.0, 0.0), (-99.0, 1.0)]),
+    "put": ([0.0, 101.0, math.inf], [(101.0, -1.0), (0.0, 0.0)]),
+    "digital": ([0.0, 100.5, math.inf], [(0.0, 0.0), (1.0, 0.0)]),
     "spread": ([0.0, 95.0, 105.0, math.inf],
                [(0.0, 0.0), (-95.0, 1.0), (10.0, 0.0)]),
     "butterfly": ([0.0, 95.0, 100.0, 105.0, math.inf],
@@ -130,9 +133,22 @@ def _merton_single_date_j0(kinks, pieces):
 
 
 # ROADMAP item 3: J0's estimate does not see its truncation.  Each cell
-# misses the gate by far more than its estimate, with the lines in one
-# block and with each line pair in a block of its own alike.
+# misses the gate by far more than its estimate; the multi-line payoffs
+# do so with the lines in one block and with each line pair in a block of
+# its own alike.
+ORACLE_PAYOFFS = {
+    "call": lambda: lh.call(99.0),
+    "put": lambda: lh.put(101.0),
+    "digital": lambda: lh.digital(100.5),
+    **SAME_ABSCISSA,
+}
 ORACLE_MISSES = {
+    "call": "J0 9.2869074423 against 9.2869075005 (-5.82e-8, estimate "
+            "5.3e-9)",
+    "put": "J0 9.2682644101 against 9.2682644822 (-7.21e-8, estimate "
+           "5.7e-9)",
+    "digital": "J0 0.1050469377 against 0.1050547054 (-7.77e-6, estimate "
+               "4.3e-7)",
     "spread": "J0 4.3156975957 against 4.3156985571 (-9.6e-7, estimate "
               "7.4e-9); with a block per line pair -1.11e-6",
     "butterfly": "J0 2.5602062863 against 2.5602053828 (+9.0e-7, estimate "
@@ -149,7 +165,7 @@ ORACLE_MISSES = {
 def test_merton_single_date_oracle(name):
     truth = _merton_single_date_j0(*PIECES[name])
     co = lh.coefficients(MERTON, T, 1)
-    j0, res = lh.error_variance(co, SAME_ABSCISSA[name](), S0,
+    j0, res = lh.error_variance(co, ORACLE_PAYOFFS[name](), S0,
                                 return_result=True)
     assert res.converged
     assert abs(j0 - truth) <= res.error_estimate + 1e-12 * truth

@@ -505,3 +505,54 @@ def test_double_contour_separable_fubini():
     one_d = contour_integrate(lambda z: fy(np.imag(z)) + 0j, spec,
                               tol_abs=1e-12, conjugate_symmetric=True)
     assert res.value == pytest.approx(one_d.value.real ** 2, rel=1e-7)
+
+
+def test_g12_rule_matches_mpmath():
+    mp = pytest.importorskip("mpmath")
+    x, w = numerics._G12
+    assert x.size == w.size == 12
+    with mp.workdps(40):
+        for xk, wk in zip(x.tolist(), w.tolist()):
+            # Newton on P12 from the double root, then the Gauss weight
+            # 2 / ((1 - t^2) P12'(t)^2), P12' = 12 (t P12 - P11) / (t^2 - 1)
+            def dp12(t):
+                return 12 * (t * mp.legendre(12, t) - mp.legendre(11, t)) \
+                    / (t * t - 1)
+
+            t = mp.mpf(xk)
+            for _ in range(4):
+                t -= mp.legendre(12, t) / dp12(t)
+            assert abs(xk - t) <= 1e-15
+            assert abs(wk - 2 / ((1 - t * t) * dp12(t) ** 2)) <= 1e-15
+
+
+def test_g12_rule_integrates_polynomials_to_degree_23():
+    x, w = numerics._G12
+    for k in range(24):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(w @ x ** k - exact) <= 1e-15, k
+    # and no further: the rule has degree 23 exactly
+    assert abs(w @ x ** 24 - 2.0 / 25) > 1e-8
+
+
+def test_double_contour_fine_passes_on_g12_probe_on_k15(monkeypatch):
+    passes = []
+    inner = numerics._tensor_value
+
+    def spy(kernel, Ry, Rz, edges_y, edges_z, rule, symmetric):
+        passes.append((rule[0].size, edges_y.size - 1, edges_z.size - 1))
+        return inner(kernel, Ry, Rz, edges_y, edges_z, rule, symmetric)
+
+    monkeypatch.setattr(numerics, "_tensor_value", spy)
+
+    def kernel(y, z):   # its far field fails the probe: two refinements
+        return np.exp(0.3 * y) / ((1.0 + y * y) * (2.0 + z * z)) \
+            + 1.0 / (4.0 + y + 2.0 * z)
+
+    double_contour_integrate(kernel, ContourSpec(0.5, 300.0),
+                             ContourSpec(1.5, 300.0), tol_abs=1e-8)
+    (base, by, bz), (probe, py, pz), *refined = passes
+    assert (base, probe) == (12, 15)
+    assert (py, pz) == ((by + 1) // 2, (bz + 1) // 2)
+    assert [r[1:] for r in refined] == [(2 * by, 2 * bz), (4 * by, 4 * bz)]
+    assert all(r[0] == 12 for r in refined)

@@ -99,6 +99,63 @@ def test_row_batched_tail_completion_matches_per_row_calls():
         assert np.allclose(resids[r], resid, rtol=1e-15, atol=0.0)
 
 
+def _tail_completion_with_carrier(line, s_sel, cs, weight3=None):
+    """The reference for ``po.tail_completion``: phi = f e^{-iv omega} at
+    each probe, and the carrier e^{ic omega} put back on the tail."""
+    s_sel = np.asarray(s_sel, dtype=float)
+    cs = np.asarray(cs, dtype=float)
+    xs_nom = np.abs(np.log(s_sel / line.strike_scale))
+    d = np.minimum(1.0, 1.2 / (1.0 + xs_nom))
+    v3 = np.vstack((cs, cs + d, cs - d))
+    z3 = line.abscissa + 1j * v3
+    f3 = np.asarray(line.density(z3), dtype=complex)
+    if weight3 is not None:
+        f3 = f3 * weight3(z3)
+    f3 = f3 * np.exp(z3 * np.log(s_sel)[None, :])
+    f0, fp, fm = (f3[..., i, :] for i in range(3))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        omega = np.angle(fp / fm) / (2.0 * d)
+    valid = (np.abs(f0) >= 1e-300) & (np.abs(omega) * cs >= 0.9 * po._CX_MIN) \
+        & (np.abs(omega) * d < 1.4)
+    omega = np.where(valid, omega, 1.0)
+    phi = f3 * np.exp(-1j * v3 * omega[..., None, :])
+    p0, pp, pm = (phi[..., i, :] for i in range(3))
+    dphi = (pp - pm) / (2.0 * d)
+    d2phi = (pp - 2.0 * p0 + pm) / (d * d)
+    tail = 2.0 * np.real(np.exp(1j * cs * omega)
+                         * (1j * p0 / omega - dphi / (omega * omega)))
+    resid = 2.0 * np.abs(d2phi) / np.abs(omega) ** 3
+    return (np.where(valid, tail, 0.0),
+            np.where(valid, resid, np.abs(f0) * cs))
+
+
+@pytest.mark.parametrize("rows_axis", [False, True], ids=["plain", "rows"])
+def test_tail_completion_matches_carrier_formula(rows_axis):
+    co = lh.coefficients(NIG_FIT, T, 6)
+
+    def rows(z):
+        _, _, g, h = co.moment_terms(z)
+        return np.stack([g * h ** k for k in range(4)]
+                        + [h ** k for k in range(4)])
+
+    weight3 = rows if rows_axis else None
+    # heights up to 1e5 and carrier phases c omega of a few hundred rad
+    for line, s_sel, cs in (
+            (lh.call(100.0).lines()[0], [70.0, 90.0, 112.0, 140.0],
+             [600.0, 900.0, 800.0, 400.0]),
+            (lh.digital(100.0).lines()[0], [70.0, 99.0, 100.2, 101.0, 140.0],
+             [600.0, 2e4, 1e5, 3e3, 400.0])):
+        tail, resid = po.tail_completion(line, s_sel, cs, weight3)
+        want, want_resid = _tail_completion_with_carrier(line, s_sel, cs,
+                                                         weight3)
+        assert tail.shape == want.shape == ((8, len(s_sel)) if rows_axis
+                                            else (len(s_sel),))
+        assert np.allclose(tail, want, rtol=1e-10, atol=1e-14)
+        # the carrier's rounding costs the reference's second difference
+        # digits at large c omega, so the residuals agree less closely
+        assert np.allclose(resid, want_resid, rtol=1e-4, atol=0.0)
+
+
 def test_gains_explicit_matches_pointwise_quotes():
     model = lh.MertonJD(mu=0.05, sigma=0.15, jump_intensity=0.8,
                         jump_mean=-0.06, jump_sd=0.12)

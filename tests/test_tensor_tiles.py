@@ -45,10 +45,12 @@ def _direct_sum(kernel, Ry, Rz, vy, wy, vz, wz, symmetric):
     return float(np.sum(mult * wy[rows] * wz_full[cols] * np.real(vals)))
 
 
-def _check_tiles(kernel, Ry, Rz, symmetric, edges_y=EDGES_Y, edges_z=EDGES_Z):
-    vy, wy = numerics._nodes_from_edges(edges_y)
-    vz, wz = (vy, wy) if symmetric else numerics._nodes_from_edges(edges_z)
-    got, nev = numerics._tensor_value(kernel, Ry, Rz, vy, wy, vz, wz,
+def _check_tiles(kernel, Ry, Rz, symmetric, edges_y=EDGES_Y, edges_z=EDGES_Z,
+                 rule=numerics._G12):
+    vy, wy = numerics._nodes_from_edges(edges_y, rule)
+    vz, wz = (vy, wy) if symmetric else numerics._nodes_from_edges(edges_z,
+                                                                   rule)
+    got, nev = numerics._tensor_value(kernel, Ry, Rz, edges_y, edges_z, rule,
                                       symmetric)
     want = _direct_sum(kernel, Ry, Rz, vy, wy, vz, wz, symmetric)
     assert got == pytest.approx(want, rel=1e-13, abs=0.0)
@@ -155,13 +157,6 @@ def test_shared_sum_classes_match_one_class_per_pair(model, payoff, N,
                                          return_result=True)
     assert abs(shared - alone) <= 1e-12 * max(1.0, alone)
     assert res.nodes_used == res_alone.nodes_used
-
-
-def test_error_variance_node_count_pinned():
-    co = lh.coefficients(NIG_FIT, 0.25, 12)
-    _, res = lh.error_variance(co, lh.call(99.0), 100.0, return_result=True)
-    assert res.nodes_used == 478380
-    assert res.converged
 
 
 def test_error_variance_peak_memory_bounded():
