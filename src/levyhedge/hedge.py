@@ -250,7 +250,17 @@ class DiscreteHedgeCoefficients:
             return b * self._geometric_ratio(ay * az, ay_n * az_n, myz, myz_n,
                                              N)
 
-        return po.PairKernel(axis_data, axis_data, along_sum, pair)
+        # |(a^N - m^N)/(a - m)| = |sum_k a^k m^(N-1-k)| <= N max(|a|, |m|)^(N-1)
+        def bound(ydat, zdat, sdat):
+            _, _, my1, m2_my, m1_my1, m1_my, ay, _ = ydat
+            _, mz, mz1, _, _, _, az, _ = zdat
+            myz, _ = sdat
+            b = myz + ((m2_my + m1_my1) * mz + (m1_my + my1) * mz1) * inv_var1
+            if N == 1:
+                return b
+            return b * (N * np.maximum(ay * az, myz) ** (N - 1))
+
+        return po.PairKernel(axis_data, axis_data, along_sum, pair, bound)
 
 
 @dataclass(frozen=True)
@@ -350,7 +360,16 @@ class ContinuousHedgeCoefficients:
                 quot[near] = T * e_k[near] * _exp_diff_quotient(w[near])
             return beta * quot
 
-        return po.PairKernel(axis_data, axis_data, along_sum, pair)
+        # quot = T int_0^1 e^{(theta alpha + (1 - theta) kappa) T} dtheta, so
+        # |quot| <= T max(|e^{alpha T}|, |e^{kappa T}|)
+        def bound(ydat, zdat, sdat):
+            _, ky, gty, _, ey = ydat
+            _, kz, gtz, _, ez = zdat
+            kyz, e_k = sdat
+            beta = kyz + ky + kz + gty * gtz / abs(den)
+            return beta * (T * np.maximum(ey * ez, e_k))
+
+        return po.PairKernel(axis_data, axis_data, along_sum, pair, bound)
 
 
 def _check_horizon(model: mdl.LevyModelSpec, T: float) -> None:

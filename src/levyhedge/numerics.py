@@ -357,8 +357,11 @@ def _eval_panels(fv, a, b, owner=None):
     y = fv(x.ravel()) if owner is None else fv(x.ravel(),
                                                np.repeat(owner, x.shape[1]))
     y = np.asarray(y, dtype=complex).reshape(x.shape)
-    ik = half * (y @ _K15_WEIGHTS)
-    ig = half * (y[:, _G7_IDX] @ _G7_WEIGHTS)
+    # einsum sums each row in a loop of its own; a matrix product (BLAS)
+    # or a row sum rounds a lone row differently from a batch of rows, and
+    # a panel's value and error must not depend on the panels in its call
+    ik = half * np.einsum("ij,j->i", y, _K15_WEIGHTS)
+    ig = half * np.einsum("ij,j->i", y[:, _G7_IDX], _G7_WEIGHTS)
     return ik, np.abs(ik - ig)
 
 
@@ -387,7 +390,9 @@ def _adapt(fv, intervals, tol_abs: float, max_evals: int, *,
     a = np.concatenate([e[:-1] for e in intervals])
     b = np.concatenate([e[1:] for e in intervals])
     val, err = panels(a, b, owner)
-    spent = 15 * np.bincount(owner, minlength=ids.size)
+    # nodes spent, per interval only when each has a budget of its own
+    spent = 15 * (np.bincount(owner, minlength=ids.size) if independent
+                  else a.size)
     while True:
         # worst first within each interval; a panel is split while the
         # error it and the panels better than it leave exceeds tol_abs
@@ -407,14 +412,15 @@ def _adapt(fv, intervals, tol_abs: float, max_evals: int, *,
             split = np.concatenate([split[owner[split] == k][:room[k]]
                                     for k in ids])
         else:
-            split = split[:max(0, max_evals - int(spent.sum())) // 30]
+            split = split[:max(0, max_evals - spent) // 30]
         if not split.size:
             break
         m = 0.5 * (a[split] + b[split])
         ca, cb = np.concatenate((a[split], m)), np.concatenate((m, b[split]))
         co = np.tile(owner[split], 2)
         cv, ce = panels(ca, cb, co)
-        spent += 30 * np.bincount(owner[split], minlength=ids.size)
+        spent += 30 * (np.bincount(owner[split], minlength=ids.size)
+                       if independent else split.size)
         owner, a, b, val, err = (
             np.concatenate((np.delete(x, split), y)) for x, y in
             ((owner, co), (a, ca), (b, cb), (val, cv), (err, ce)))
@@ -424,7 +430,7 @@ def _adapt(fv, intervals, tol_abs: float, max_evals: int, *,
     edges = [np.append(ai, bi[-1]) for ai, bi in
              zip(np.split(a, starts[1:]), np.split(b, starts[1:]))]
     return (np.add.reduceat(val, starts), np.add.reduceat(err, starts).tolist(),
-            int(spent.sum()), edges)
+            int(np.sum(spent)), edges)
 
 
 def _wrap_integrand(integrand, abscissa: float, conjugate_symmetric: bool):
@@ -590,19 +596,17 @@ def _nodes_from_edges(edges: np.ndarray, rule):
     return v, w
 
 
-_TILE_ROWS = 16   # rows of the folded axis per broadcast tile
-
-
 def _pair_protocol(kernel):
-    """``(axis_y, axis_z, along_sum, pair)`` of a kernel.
+    """``(axis_y, axis_z, along_sum, pair, bound)`` of a kernel.
 
     Structured kernels (see ``payoffs.PairKernel``) bring their own; a
     plain callable ``kernel(y, z)`` gets a unit linear factor and the
-    nodes as its axis data, no sum data (``along_sum`` is None), and is
-    called on the broadcast tile.
+    nodes as its axis data, no sum data (``along_sum`` is None) and no
+    bound, and is called on the broadcast tile.
     """
     if hasattr(kernel, "pair") and hasattr(kernel, "axis_y"):
-        return kernel.axis_y, kernel.axis_z, kernel.along_sum, kernel.pair
+        return (kernel.axis_y, kernel.axis_z, kernel.along_sum, kernel.pair,
+                kernel.bound)
 
     def axis(nodes):
         return np.ones(nodes.shape), nodes
@@ -610,7 +614,7 @@ def _pair_protocol(kernel):
     def pair(ydat, zdat, sdat):
         return kernel(*np.broadcast_arrays(ydat[1], zdat[1]))
 
-    return axis, axis, None, pair
+    return axis, axis, None, pair, None
 
 
 def _pair_classes(mid_y, half_y, mid_z, half_z, p, q, quantum):
@@ -640,8 +644,8 @@ def _sum_line_tables(along_sum, n, y_nodes, edges_y, z_nodes, edges_z,
     axis, the mirror of the panels between ``edges_z`` and those panels.
     One set of tables serves the whole tensor pass.  The factors are
     evaluated on each class's first pair's own sums, in chunks no larger
-    than one tile.  Returns ``gather(lo, hi, cols)``, the tuple of sum data
-    on the tile of rows ``lo:hi`` and columns ``cols``.
+    than a tile of one row panel.  Returns ``gather(lo, hi, cols)``, the
+    tuple of sum data on the tile of rows ``lo:hi`` and columns ``cols``.
     """
     mid_y, half_y = _mids_halves(edges_y)
     mid_z, half_z = _mids_halves(edges_z)
@@ -649,8 +653,8 @@ def _sum_line_tables(along_sum, n, y_nodes, edges_y, z_nodes, edges_z,
     half_z = np.concatenate((half_z[::-1], half_z))
     touched = np.zeros((mid_y.size, mid_z.size), dtype=bool)
     for lo, hi, cols in tiles:
-        c0, c1, _ = cols.indices(z_nodes.size)
-        touched[lo // n:(hi - 1) // n + 1, c0 // n:(c1 - 1) // n + 1] = True
+        touched[lo // n:(hi - 1) // n + 1,
+                cols.start // n:(cols.stop - 1) // n + 1] = True
     p, q = np.nonzero(touched)
     # a grid far below any panel width, far above the layout's rounding
     quantum = 2.0 ** -40 * max(edges_y[-1], edges_z[-1])
@@ -659,7 +663,7 @@ def _sum_line_tables(along_sum, n, y_nodes, edges_y, z_nodes, edges_z,
     cls_base[p, q] = cls * (n * n)
     first_rows = (n * p[first])[:, None] + np.arange(n)
     first_cols = (n * q[first])[:, None] + np.arange(n)
-    chunk = max(1, _TILE_ROWS * z_nodes.size // (n * n))
+    chunk = max(1, z_nodes.size // n)
     tables = ()
     for i in range(0, first.size, chunk):
         part = along_sum((y_nodes[first_rows[i:i + chunk]][:, :, None]
@@ -681,7 +685,86 @@ def _sum_line_tables(along_sum, n, y_nodes, edges_y, z_nodes, edges_z,
     return gather
 
 
-def _tensor_value(kernel, Ry, Rz, edges_y, edges_z, rule, symmetric: bool):
+# A tensor pass skips panel pairs, smallest bound first, while their
+# summed bound stays within this fraction of the pass's tol_abs.
+_BAND_FRACTION = 1e-3
+# most samples of the sum line per pass for the envelope of its factors
+_BAND_SAMPLES = 4096
+
+
+def _range_max(f, i0, i1):
+    """``max(f[..., i0:i1 + 1])`` for index arrays ``i0 <= i1``, from a
+    sparse table of ``f`` along its last axis."""
+    level = np.log2(i1 - i0 + 1).astype(int)
+    out = np.empty(f.shape[:-1] + i0.shape)
+    table = f   # table[..., i] = max f[..., i:i + 2^k] at level k
+    for k in range(int(level.max()) + 1):
+        at = level == k
+        out[..., at] = np.maximum(table[..., i0[at]],
+                                  table[..., i1[at] - 2 ** k + 1])
+        table = np.maximum(table[..., :-2 ** k], table[..., 2 ** k:])
+    return out
+
+
+def _band(bound, along_sum, ydat, zdat, u, v, Rs, edges_y, edges_z, n,
+          symmetric: bool, budget: float):
+    """Column-panel windows ``[q0, q1)`` of each row panel of a tensor
+    pass, and the summed bound of the panel pairs outside them.
+
+    Rows are the panels between ``edges_y``, columns those of the full
+    axis (the mirror of the panels between ``edges_z``, then those).  The
+    cells of pair ``(p, q)`` add at most ``B_pq U_p V_q`` times the fold's
+    multiplicity to the pass, with ``U_p``, ``V_q`` the sums of ``|u|``,
+    ``|v|`` over the panels and ``B_pq = bound(ymag, zmag, smag)``, where
+    ``ymag``, ``zmag`` hold each panel's largest magnitudes of its axis
+    data and ``smag`` the largest magnitudes of the sum data over the
+    pair's sums, taken from samples of the sum line ``Rs + it`` that
+    bracket them.  Pairs are dropped smallest bound first while the
+    dropped bounds sum to at most ``budget``; each row keeps the span of
+    the rest, widened by one panel in both directions.
+    """
+    py, ez = edges_y.size - 1, np.concatenate((-edges_z[::-1], edges_z[1:]))
+    pz = ez.size - 1
+    if bound is None or not budget > 0.0:
+        return np.tile((0, pz), (py, 1)), 0.0
+
+    def panel_max(x):
+        return np.abs(x).reshape(-1, n).max(axis=1)
+
+    ymag = tuple(panel_max(d)[:, None] for d in ydat)
+    zmag = tuple(panel_max(d)[None, :] for d in zdat)
+    t_lo = edges_y[:-1, None] + ez[None, :-1]
+    t_hi = edges_y[1:, None] + ez[None, 1:]
+    t0, t1 = t_lo[0, 0], t_hi[-1, -1]
+    h = max(0.5 * min(np.diff(edges_y).min(), np.diff(edges_z).min()),
+            (t1 - t0) / _BAND_SAMPLES)
+    count = int(math.ceil((t1 - t0) / h)) + 1
+    samples = np.abs(np.stack(along_sum(Rs + 1j * (t0 + h * np.arange(count)))))
+    i0 = np.clip(np.floor((t_lo - t0) / h).astype(int), 0, count - 1)
+    i1 = np.clip(np.ceil((t_hi - t0) / h).astype(int), i0, count - 1)
+    smag = tuple(_range_max(samples, i0, i1))
+    b = bound(ymag, zmag, smag) * (np.abs(u).reshape(-1, n).sum(axis=1)[:, None]
+                                   * np.abs(v).reshape(-1, n).sum(axis=1))
+    b *= 4.0 if symmetric else 2.0
+    if symmetric:
+        # pairs beyond the fundamental domain |v_z| <= v_y hold no cells
+        b[np.maximum(ez[:-1], -ez[1:])[None, :] >= edges_y[1:, None]] = 0.0
+    order = np.argsort(b, axis=None)
+    kept = np.ones(b.shape, dtype=bool)
+    kept.flat[order[np.cumsum(b.flat[order]) <= budget]] = False
+    # and the pairs next to a kept one, diagonals included
+    kept = np.pad(kept, 1)
+    keep = np.logical_or.reduce([kept[i:i + py, j:j + pz]
+                                 for i in range(3) for j in range(3)])
+    q0 = np.where(keep.any(axis=1), keep.argmax(axis=1), 0)
+    q1 = np.where(keep.any(axis=1), pz - keep[:, ::-1].argmax(axis=1), 0)
+    cols = np.arange(pz)
+    inside = (cols >= q0[:, None]) & (cols < q1[:, None])
+    return np.stack((q0, q1), axis=1), float(b[~inside].sum())
+
+
+def _tensor_value(kernel, Ry, Rz, edges_y, edges_z, rule, symmetric: bool,
+                  tol_abs: float = 0.0):
     """Tensor-product sum with conjugation folding, on broadcast tiles.
 
     The panels between ``edges_y`` on [0, c] make the folded axis, those
@@ -694,16 +777,24 @@ def _tensor_value(kernel, Ry, Rz, edges_y, edges_z, rule, symmetric: bool):
     quarter of the plane), with multiplicity weights.  Axis data are
     computed once per node, and a structured kernel's sum data once per
     pass and class of panel pairs sharing their node sums
-    (``_sum_line_tables``).  Each tile of ``_TILE_ROWS`` rows passes
-    ``(r, 1)`` row views, ``(1, c)`` column views and the ``(r, c)``
-    gathered sum data to the pair kernel.  The kernel is linear in the
-    leading axis factors ``ydat[0]``, ``zdat[0]``, which ``pair`` leaves
-    out: they enter with the weights, as ``Re(u @ values @ v)`` with
-    ``u = wy ydat[0]`` and ``v = wz zdat[0]``.
+    (``_sum_line_tables``).  Each tile, one row panel, passes ``(r, 1)``
+    row views, ``(1, c)`` column views and the ``(r, c)`` gathered sum
+    data to the pair kernel.  The kernel is linear in the leading axis
+    factors ``ydat[0]``, ``zdat[0]``, which ``pair`` leaves out: they
+    enter with the weights, as ``Re(u @ values @ v)`` with ``u = wy
+    ydat[0]`` and ``v = wz zdat[0]``.
+
+    A kernel with a ``bound`` is banded: each tile evaluates only a
+    window of columns around the ridge ``v_z = -v_y``, outside which the
+    panel pairs' bounds sum to at most ``_BAND_FRACTION * tol_abs``
+    (``_band``); ``tol_abs = 0`` evaluates every column.  Returns the
+    sum, the number of cells evaluated in the fundamental domain, and the
+    summed bound of the skipped panel pairs.
     """
-    axis_y, axis_z, along_sum, pair = _pair_protocol(kernel)
+    axis_y, axis_z, along_sum, pair, bound = _pair_protocol(kernel)
     if symmetric:
         edges_z = edges_y
+    n = rule[0].size
     vy, wy = _nodes_from_edges(edges_y, rule)
     vz, wz = (vy, wy) if symmetric else _nodes_from_edges(edges_z, rule)
     m = vy.size
@@ -719,17 +810,28 @@ def _tensor_value(kernel, Ry, Rz, edges_y, edges_z, rule, symmetric: bool):
         ydat = axis_y(y_nodes)
     u = wy * ydat[0]
     v = wz_full * zdat[0]
+    windows, skipped = _band(bound, along_sum, ydat, zdat, u, v, Ry + Rz,
+                             edges_y, edges_z, n, symmetric,
+                             _BAND_FRACTION * tol_abs)
     tiles = []
-    for lo in range(0, m, _TILE_ROWS):
-        hi = min(lo + _TILE_ROWS, m)
-        # columns [m-hi, m+hi) hold every |v_z| <= vy[hi-1]
-        tiles.append((lo, hi, slice(m - hi, m + hi) if symmetric
-                      else slice(None)))
+    for p, (q0, q1) in enumerate(windows.tolist()):
+        lo, hi = p * n, (p + 1) * n
+        c0, c1 = q0 * n, q1 * n
+        if symmetric:
+            # columns [m-hi, m+hi) hold every |v_z| <= vy[hi-1]
+            c0, c1 = max(c0, m - hi), min(c1, m + hi)
+        if c0 < c1:
+            tiles.append((lo, hi, slice(c0, c1)))
     if along_sum is not None:
-        gather = _sum_line_tables(along_sum, rule[0].size, y_nodes, edges_y,
-                                  z_nodes, edges_z, tiles)
+        gather = _sum_line_tables(along_sum, n, y_nodes, edges_y, z_nodes,
+                                  edges_z, tiles)
     if symmetric:
         v4 = 4.0 * v
+        # in the tile of rows lo:hi, columns [m-lo, m+lo) lie inside
+        # |v_z| < v_y for every row (weight 4); the n outer columns on
+        # either side take 4/2/0 from v_y against |v_z|, which within one
+        # panel is the order of the rule's nodes
+        right = 4.0 * np.tri(n, k=-1) + 2.0 * np.eye(n)
     total = 0.0
     nev = 0
     for lo, hi, cols in tiles:
@@ -737,22 +839,27 @@ def _tensor_value(kernel, Ry, Rz, edges_y, edges_z, rule, symmetric: bool):
                     tuple(d[None, cols] for d in zdat),
                     None if along_sum is None else gather(lo, hi, cols))
         if symmetric:
-            # columns [m-lo, m+lo) lie inside |v_z| < v_y for every row
-            # (weight 4); the k outer columns on either side take 4/2/0
-            # from v_y against |v_z|
-            k = hi - lo
-            Y = vy[lo:hi, None]
-            A = vy[None, lo:hi]
-            right = np.where(Y > A, 4.0, np.where(Y == A, 2.0, 0.0))
-            row = (vals[:, k:-k] @ v4[m - lo:m + lo]
-                   + (vals[:, :k] * right[:, ::-1]) @ v[m - hi:m - lo]
-                   + (vals[:, -k:] * right) @ v[m + lo:m + hi])
-            nev += 2 * k * lo + 2 * int(np.count_nonzero(right))
+            # the window meets the inner columns and the two outer blocks
+            row = 0.0
+            for a, b, weights in ((m - lo, m + lo, None),
+                                  (m - hi, m - lo, right[:, ::-1]),
+                                  (m + lo, m + hi, right)):
+                a2, b2 = max(a, cols.start), min(b, cols.stop)
+                if a2 >= b2:
+                    continue
+                part = vals[:, a2 - cols.start:b2 - cols.start]
+                if weights is None:
+                    row = row + part @ v4[a2:b2]
+                    nev += part.size
+                else:
+                    weights = weights[:, a2 - a:b2 - a]
+                    row = row + (part * weights) @ v[a2:b2]
+                    nev += int(np.count_nonzero(weights))
             total += float((u[lo:hi] @ row).real)
         else:
             nev += vals.size
-            total += 2.0 * float((u[lo:hi] @ (vals @ v)).real)
-    return total, nev
+            total += 2.0 * float((u[lo:hi] @ (vals @ v[cols])).real)
+    return total, nev, skipped
 
 
 def double_contour_integrate(kernel, contour_y: ContourSpec,
@@ -778,6 +885,10 @@ def double_contour_integrate(kernel, contour_y: ContourSpec,
     the base panel pairs; on G12 that coarse pass is the less accurate,
     and its larger estimates would refine cells that need no refinement.
     A failed estimate escalates to uniform refinement of the layout.
+    Passes over a kernel with a ``bound`` are banded around the ridge
+    (``_tensor_value``); the probe skips the same region, so the bounds
+    of both compared passes' skipped panel pairs are added to the
+    estimate.  ``nodes_used`` counts the node pairs evaluated.
     """
     symmetric = symmetric and (contour_y == contour_z)
     axis_tol = 0.1 * tol_abs
@@ -791,9 +902,10 @@ def double_contour_integrate(kernel, contour_y: ContourSpec,
     Ry, Rz = contour_y.abscissa, contour_z.abscissa
 
     def run(ey, ez, rule=_G12):
-        return _tensor_value(kernel, Ry, Rz, ey, ez, rule, symmetric)
+        return _tensor_value(kernel, Ry, Rz, ey, ez, rule, symmetric,
+                             tol_abs)
 
-    val1, n1 = run(edges_y, edges_z)
+    val1, n1, skip1 = run(edges_y, edges_z)
 
     def split(edges):
         mids = 0.5 * (edges[:-1] + edges[1:])
@@ -805,18 +917,19 @@ def double_contour_integrate(kernel, contour_y: ContourSpec,
 
     # error probe against a half-resolution pass first (quarter the cost);
     # escalate to genuine refinement only when it fails the tolerance
-    val0, n0 = run(coarsen(edges_y), coarsen(edges_z), _K15)
-    err = abs(val1 - val0)
+    val0, n0, skip0 = run(coarsen(edges_y), coarsen(edges_z), _K15)
+    err = abs(val1 - val0) + skip1 + skip0
     n2 = 0
     val = val1
     budget = contour_y.node_budget * contour_z.node_budget
     if err > tol_abs and (n0 + n1) * 5 <= budget:
-        val2, n2 = run(split(edges_y), split(edges_z))
-        err = abs(val2 - val1)
+        val2, n2, skip2 = run(split(edges_y), split(edges_z))
+        err = abs(val2 - val1) + skip2 + skip1
         val = val2
         if err > tol_abs and (n0 + n1 + n2) * 4 <= budget:
-            val3, n3 = run(split(split(edges_y)), split(split(edges_z)))
-            err = abs(val3 - val2)
+            val3, n3, skip3 = run(split(split(edges_y)),
+                                  split(split(edges_z)))
+            err = abs(val3 - val2) + skip3 + skip2
             val = val3
             n2 += n3
     nodes = n0 + n1 + n2

@@ -79,6 +79,12 @@ class PairKernel:
       linear factor ``ydat[0] * zdat[0]``, which the tensor evaluator
       takes into its contraction; other callers pass it as ``scale``, which
       ``pair`` multiplies in first.
+    * ``bound(ymag, zmag, smag)``, optional, is an upper bound of
+      ``|pair(ydat, zdat, sdat)|`` given upper bounds of the magnitudes of
+      each entry of ``ydat``, ``zdat`` and ``sdat``, in the same tuples.
+      The tensor evaluator bounds panel pairs with it and skips those
+      that cannot matter (``numerics._band``); without it every pair is
+      evaluated.
 
     Instances are also plain callables on broadcastable arrays, used by
     layout and tail probes.
@@ -88,6 +94,7 @@ class PairKernel:
     axis_z: Callable
     along_sum: Callable
     pair: Callable
+    bound: Optional[Callable] = None
 
     def __call__(self, y, z):
         y = np.atleast_1d(np.asarray(y, dtype=complex))
@@ -904,7 +911,8 @@ def _group_kernel(kernel, group_y, group_z):
     axis_y = with_density(kernel.axis_y, group_y)
     axis_z = (axis_y if group_z is group_y
               else with_density(kernel.axis_z, group_z))
-    return PairKernel(axis_y, axis_z, kernel.along_sum, kernel.pair)
+    return PairKernel(axis_y, axis_z, kernel.along_sum, kernel.pair,
+                      kernel.bound)
 
 
 def _plan_pair(kernel, li: Line, lj: Line, tol_abs: float, diagonal: bool):

@@ -1,10 +1,10 @@
 """J0 pinned on cheap cells: value, node count and convergence flag.
 
-The values were computed at commit 94f39b1, with the tensor passes on
-12-point Gauss-Legendre panels and the error probe on K15 (see
-CHANGES.md for each cell's old and new value, nodes and estimate).  A change that makes
-J0 cheaper keeps its nodes and flags, and moves its values only by
-rounding.  A change that makes J0 take fewer nodes re-pins the cells it
+The values were computed with the tensor passes on 12-point
+Gauss-Legendre panels, the error probe on K15, and every pass banded
+around the ridge (see CHANGES.md for each cell's old and new value,
+nodes and estimate).  A change that makes J0 cheaper keeps its nodes
+and flags, and moves its values only by rounding.  A change that makes J0 take fewer nodes re-pins the cells it
 moves, with evidence that the new values are no worse.
 """
 
@@ -30,21 +30,21 @@ PAYOFFS = {
 # of the three MC-verified models meets each payoff and each N at least
 # once; the Hyperbolic call refines its tensor layout once
 CELLS = [
-    ("nig", "call", 1, 8.06703282501359, 354060),
-    ("nig", "call", 12, 1.044181649985162, 342096),
-    ("nig", "call", None, 0.2571898866550998, 342096),
-    ("nig", "digital", 12, 0.03813366057381525, 321180),
-    ("nig", "spread", None, 0.22399857644149077, 1098012),
-    ("nig", "cross_spread", 12, 0.8549708527759464, 1402638),
-    ("vg", "call", 1, 21.223207641713, 487332),
-    ("vg", "call", 12, 14.169329492303211, 487332),
-    ("vg", "digital", None, 0.09400866497525193, 487332),
-    ("vg", "spread", 1, 6.050918086346664, 487332),
-    ("merton", "call", None, 3.9277133366169683, 354060),
-    ("merton", "digital", 1, 0.10504693774957628, 342096),
-    ("merton", "digital", 12, 0.07090398437384443, 342096),
-    ("merton", "spread", 12, 2.526062169874436, 354060),
-    ("hyperbolic", "call", None, 22.74901660096183, 1942800),
+    ("nig", "call", 1, 8.06703282501359, 46950),
+    ("nig", "call", 12, 1.0441816499851622, 51381),
+    ("nig", "call", None, 0.2571898866551003, 52740),
+    ("nig", "digital", 12, 0.03813366057381526, 48744),
+    ("nig", "spread", None, 0.2239985764414907, 90210),
+    ("nig", "cross_spread", 12, 0.8549708527759474, 169440),
+    ("vg", "call", 1, 21.223207633543176, 362265),
+    ("vg", "call", 12, 14.169329492301209, 487032),
+    ("vg", "digital", None, 0.09400866515063375, 485724),
+    ("vg", "spread", 1, 6.050918085658686, 374961),
+    ("merton", "call", None, 3.9277133366169696, 44493),
+    ("merton", "digital", 1, 0.10504693774957626, 53541),
+    ("merton", "digital", 12, 0.07090398437384443, 54486),
+    ("merton", "spread", 12, 2.526062169874435, 56955),
+    ("hyperbolic", "call", None, 22.749016600961824, 163953),
 ]
 # relative tolerance of J0: 1e-13, and 1e-12 for the Hyperbolic cell, the
 # tolerance it was pinned with before it joined this table

@@ -397,6 +397,23 @@ def _peak_integral(a, b):
     return (math.atan((b - 2.3) / 1e-3) - math.atan((a - 2.3) / 1e-3)) / 1e-3
 
 
+def test_panel_results_do_not_depend_on_the_batch():
+    # one panel's K15 value and |K15 - G7| error, bit for bit, alone and
+    # in batches of 2, 3 and 64 panels
+    def f(v):
+        return np.exp(1j * v) / (1.0 + (v - 2.3) ** 2)
+
+    edges = np.linspace(0.0, 10.0, 65)
+    a, b = edges[:-1], edges[1:]
+    for i in (0, 17, 63):
+        alone = numerics._eval_panels(f, a[i:i + 1], b[i:i + 1])
+        for size in (2, 3, 64):
+            idx = (i + np.arange(size)) % a.size
+            value, error = numerics._eval_panels(f, a[idx], b[idx])
+            assert value[0] == alone[0][0]
+            assert error[0] == alone[1][0]
+
+
 def test_adapt_rounds_cover_the_interval_within_the_budget():
     for budget in (100, 120, 600, 1830, 200_000):
         (value,), (err,), nevals, (edges,) = numerics._adapt(
@@ -539,9 +556,10 @@ def test_double_contour_fine_passes_on_g12_probe_on_k15(monkeypatch):
     passes = []
     inner = numerics._tensor_value
 
-    def spy(kernel, Ry, Rz, edges_y, edges_z, rule, symmetric):
+    def spy(kernel, Ry, Rz, edges_y, edges_z, rule, symmetric, tol_abs):
         passes.append((rule[0].size, edges_y.size - 1, edges_z.size - 1))
-        return inner(kernel, Ry, Rz, edges_y, edges_z, rule, symmetric)
+        return inner(kernel, Ry, Rz, edges_y, edges_z, rule, symmetric,
+                     tol_abs)
 
     monkeypatch.setattr(numerics, "_tensor_value", spy)
 

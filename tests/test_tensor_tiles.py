@@ -50,10 +50,12 @@ def _check_tiles(kernel, Ry, Rz, symmetric, edges_y=EDGES_Y, edges_z=EDGES_Z,
     vy, wy = numerics._nodes_from_edges(edges_y, rule)
     vz, wz = (vy, wy) if symmetric else numerics._nodes_from_edges(edges_z,
                                                                    rule)
-    got, nev = numerics._tensor_value(kernel, Ry, Rz, edges_y, edges_z, rule,
-                                      symmetric)
+    got, nev, skipped = numerics._tensor_value(kernel, Ry, Rz, edges_y,
+                                               edges_z, rule, symmetric)
     want = _direct_sum(kernel, Ry, Rz, vy, wy, vz, wz, symmetric)
     assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+    # without a tolerance the pass evaluates every cell
+    assert skipped == 0.0
     # the fundamental domain |v_z| <= v_y holds 2(i+1) columns in row i
     assert nev == (vy.size * (vy.size + 1) if symmetric
                    else vy.size * 2 * vz.size)
@@ -171,3 +173,68 @@ def test_error_variance_peak_memory_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20
+
+
+MERTON = lh.MertonJD(mu=0.05, sigma=0.15, jump_intensity=0.8,
+                     jump_mean=-0.06, jump_sd=0.12)
+
+
+def _passes(monkeypatch, run):
+    """The arguments of every tensor pass that ``run`` makes."""
+    seen = []
+    inner = numerics._tensor_value
+
+    def spy(*args):
+        seen.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(numerics, "_tensor_value", spy)
+    run()
+    return seen
+
+
+@pytest.mark.parametrize("model", [NIG_FIT, MERTON], ids=["nig", "merton"])
+@pytest.mark.parametrize("mode", ["discrete", "continuous"])
+def test_banded_pass_within_its_skipped_bound(model, mode, monkeypatch):
+    co = (lh.coefficients(model, 0.25, 12) if mode == "discrete"
+          else lh.coefficients_ct(model, 0.25))
+    spread = lh.call(95.0) - lh.call(105.0, abscissa=2.0)
+    passes = _passes(monkeypatch,
+                     lambda: lh.error_variance(co, spread, 100.0))
+    # each block's base pass: two line blocks and the cross-line block
+    bases = [p for p in passes if p[5] is numerics._G12][:3]
+    assert [p[6] for p in bases] == [True, False, True]
+    for *args, tol_abs in bases:
+        banded, nev, skipped = numerics._tensor_value(*args, tol_abs)
+        full, nev_full, none = numerics._tensor_value(*args, 0.0)
+        assert none == 0.0
+        assert 0.0 < skipped <= numerics._BAND_FRACTION * tol_abs
+        assert nev < nev_full / 2
+        # the skipped cells, and the rounding of a sum in another order
+        assert abs(banded - full) <= skipped + 1e-14 * abs(full)
+
+
+def test_kernel_without_decay_is_not_banded():
+    # the sum factor keeps its size along the whole sum line, so every
+    # panel pair's bound stays far above the skip budget
+    def axis(x):
+        return 1.0 / (1.0 + x * x), x
+
+    def along_sum(s):
+        return (np.cos(s.imag) + 0j,)
+
+    def pair(ydat, zdat, sdat, scale=None):
+        out = sdat[0] * (1.0 + 0.0 * ydat[1] * zdat[1])
+        return out if scale is None else scale * out
+
+    def bound(ymag, zmag, smag):
+        return smag[0]
+
+    kernel = PairKernel(axis, axis, along_sum, pair, bound)
+    for Ry, Rz, symmetric in ((0.5, 0.5, True), (0.5, 1.5, False)):
+        args = (kernel, Ry, Rz, EDGES_Y, EDGES_Z, numerics._G12, symmetric)
+        assert (numerics._tensor_value(*args, 1e-8)
+                == numerics._tensor_value(*args, 0.0))
+        value, nev, skipped = numerics._tensor_value(*args, 1e-8)
+        assert skipped == 0.0
+        _check_tiles(kernel, Ry, Rz, symmetric)
