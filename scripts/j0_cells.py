@@ -123,30 +123,13 @@ def run(src_root, out_path):
 
 
 def log_contract_truth(model):
-    """Exact N=1 log-contract J0 of a model, in mpmath."""
-    import mpmath as mp
+    """Exact N=1 log-contract J0 of a model, from the oracle of
+    tests/test_log_contract.py (same models), with this tree's package."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    sys.path[:0] = [str(root / "src"), str(root / "tests")]
+    from test_log_contract import _truth
 
-    mp.mp.dps = 30
-    p = {k: mp.mpf(repr(v)) for k, v in MODELS[model][1].items()}
-
-    def kappa(z):
-        if model == "gaussian":
-            return (p["mu"] - p["sigma"] ** 2 / 2) * z + p["sigma"] ** 2 * z * z / 2
-        if model == "merton":
-            return (p["mu"] * z + p["sigma"] ** 2 * z * z / 2
-                    + p["jump_intensity"] * (mp.exp(p["jump_mean"] * z
-                                                    + p["jump_sd"] ** 2 * z * z / 2) - 1))
-        if model == "nig":
-            a2 = p["alpha"] ** 2
-            return p["mu"] * z + p["delta"] * (mp.sqrt(a2 - p["beta"] ** 2)
-                                               - mp.sqrt(a2 - (p["beta"] + z) ** 2))
-        return p["mu"] * z + p["delta"] * mp.log(
-            p["alpha"] / (p["alpha"] - p["beta"] * z - z * z / 2))
-
-    t = mp.mpf(repr(T))
-    slope = mp.exp(kappa(1) * t) * t * (mp.diff(kappa, 1) - mp.diff(kappa, 0))
-    return float(mp.diff(kappa, 0, 2) * t
-                 - slope ** 2 / (mp.exp(kappa(2) * t) - mp.exp(2 * kappa(1) * t)))
+    return _truth(model)
 
 
 def compare(out_path, parent_paths, change_paths):

@@ -1,11 +1,12 @@
 """J0 pinned on cheap cells: value, node count and convergence flag.
 
-The values were computed with the tensor passes on 12-point
-Gauss-Legendre panels, the error probe on K15, and every pass banded
-around the ridge (see CHANGES.md for each cell's old and new value,
-nodes and estimate).  A change that makes J0 cheaper keeps its nodes
-and flags, and moves its values only by rounding.  A change that makes J0 take fewer nodes re-pins the cells it
-moves, with evidence that the new values are no worse.
+The values were computed at commit 615e868, with the tensor passes on
+12-point Gauss-Legendre panels, the error probe on K15, and every pass
+banded around the ridge (see CHANGES.md for each cell's old and new
+value, nodes and estimate).  A change that makes J0 cheaper keeps its
+nodes and flags, and moves its values only by rounding.  A change that
+makes J0 take fewer nodes re-pins the cells it moves, with evidence that
+the new values are no worse.
 """
 
 import pytest
