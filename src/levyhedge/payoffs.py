@@ -571,7 +571,9 @@ def evaluate_payoff(measure: TransformMeasure, s: float, *,
 # Batched evaluation on s-grids (shared panel plan)
 # ---------------------------------------------------------------------------
 
-_SPOT_BLOCK = 512        # spots per exp matrix
+# spots per block of table cells: a block is (spots x nodes), its rows
+# gathered from the lattice factors or formed by direct exp
+_SPOT_BLOCK = 512
 
 
 def _planned_edges(line: Line, s_grid: np.ndarray, tol_abs: float, cap: float):
@@ -637,6 +639,46 @@ def _weight_cap(line: Line, terms, s_hi: float, tol_abs: float, times):
     return _NO_CAP
 
 
+def _log_lattice(ln_s):
+    """The spots of a grid that lie on one uniform lattice in log-spot.
+
+    Returns ``(on, k, x_c, h)``: ``ln_s[on]`` is ``x_c + k[on] h`` up to
+    ``64 u (1 + max|ln_s|)`` of rounding, with ``x_c`` a lattice point near
+    the middle of the grid.  The other spots (a strike's cluster, or every
+    spot of a grid without a lattice) have ``on`` False, and so do all
+    spots of a grid with fewer than two distinct ones.
+    """
+    xs = np.sort(ln_s)
+    tol = 64.0 * np.finfo(float).eps * (1.0 + max(abs(xs[0]), abs(xs[-1])))
+    d = np.diff(xs)
+    steps = d[d > tol]
+    if not steps.size:
+        return np.zeros(xs.size, bool), np.zeros(xs.size, np.int64), float(xs[0]), 0.0
+    h = float(np.partition(steps, steps.size // 2)[steps.size // 2])
+    # points with a neighbour one step away anchor the lattice and fit h
+    one = np.abs(d - h) <= 2.0 * tol
+    anchored = xs[np.concatenate((one, [False])) | np.concatenate(([False], one))]
+    x_c = float(anchored[np.argmin(np.abs(anchored - 0.5 * (xs[0] + xs[-1])))])
+    k_ends = np.rint((anchored[[0, -1]] - x_c) / h)
+    if k_ends[1] > k_ends[0]:
+        h = float((anchored[-1] - anchored[0]) / (k_ends[1] - k_ends[0]))
+    k = np.rint((ln_s - x_c) / h).astype(np.int64)
+    return np.abs((ln_s - x_c) - k * h) <= tol, k, x_c, h
+
+
+def _anchor_factors(zc, x_c):
+    """``e^{zc x_c}`` per node with the phase product's rounding error put
+    back (Dekker's exact product, to first order), so that the factor is
+    good to a few ulps however large ``Im(zc) x_c`` grows."""
+    v = zc.imag
+    p = v * x_c
+    vc, xc = 134217729.0 * v, 134217729.0 * x_c        # Veltkamp splits
+    v_hi, x_hi = vc - (vc - v), xc - (xc - x_c)
+    v_lo, x_lo = v - v_hi, x_c - x_hi
+    err = ((v_hi * x_hi - p) + v_hi * x_lo + v_lo * x_hi) + v_lo * x_lo
+    return np.exp(zc.real * x_c + 1j * p) * (1.0 + 1j * err)
+
+
 def _kept_cell_sums(coef, z, rate, v, cut, ln_s, times):
     """``2 Re sum_i coef[:, i] exp(z_i ln s_j + rate_i t_j)`` over the
     nodes with ``v_i <= cut_j``, for every spot j (``rate`` may be None).
@@ -645,23 +687,85 @@ def _kept_cell_sums(coef, z, rate, v, cut, ln_s, times):
     With the spots sorted by descending ``k_j``, each node segment
     ``[k_prev, k)`` multiplies only the prefix of spots that keep it, so
     no cell beyond a spot's cut is computed.
+
+    Every cell carries the factor ``e^{z x_c}`` of an anchor ``x_c`` near
+    the middle of the grid, formed once per node with an exact phase, so
+    the phases formed per cell stay as small as ``ln s_j - x_c``.  Spots
+    on a uniform log lattice (``_log_lattice``; only without a per-spot
+    rate) split further as ``ln s_j = x_c + c[q_j] + f[r_j] + eps_j`` with
+    ``c[q] = (k0 + qB) h``, ``f[r] = r h`` and ``eps_j`` of rounding size,
+    so by the addition theorem ``s_j^z = e^{z x_c} C[q_j] F[r_j]
+    (1 + z eps_j)`` to rounding, with ``C = e^{z c}`` and ``F = e^{z f}``.
+    A segment then forms ``Q + B`` exps per node instead of one per kept
+    spot, and gathers its lattice rows from C and F.  The other spots, and
+    the lattice spots of a segment too few to repay the factors, take
+    their exps directly.  Blocks are built conjugated, as (spots x nodes),
+    so that ``coef`` viewed as real pairs reduces each by one real GEMM.
     """
+    coef = np.ascontiguousarray(coef, dtype=complex)
     keep = np.searchsorted(v, cut, side="right")
-    order = np.argsort(-keep, kind="stable")
-    keep = keep[order]
-    ln_s = ln_s[order]
+    on, k, x_c, h = _log_lattice(ln_s)
     if rate is not None:
+        on = np.zeros_like(on)          # a per-spot rate has no lattice factors
+    # lattice spots first, then the rest, each by descending keep
+    order = np.concatenate([g[np.argsort(-keep[g], kind="stable")]
+                            for g in (np.flatnonzero(on), np.flatnonzero(~on))])
+    n_on = int(np.count_nonzero(on))
+    keep = keep[order]
+    # descending keeps of either group, negated to search them
+    neg_l, neg_d = -keep[:n_on], -keep[n_on:]
+    shift = ln_s[order] - x_c
+    if n_on:
+        k = k[order[:n_on]]
+        k_min, k_max = np.minimum.accumulate(k), np.maximum.accumulate(k)
+    zc = np.conj(z)
+    anchor = _anchor_factors(zc, x_c)
+    if rate is not None:
+        rc = np.conj(rate)
         times = times[order]
     acc = np.zeros((coef.shape[0], cut.size))
     lo = 0
     for hi in np.unique(keep[keep > 0]).tolist():
-        n_spots = int(np.count_nonzero(keep >= hi))
-        for b in range(0, n_spots, _SPOT_BLOCK):
-            e = min(b + _SPOT_BLOCK, n_spots)
-            expo = np.multiply.outer(z[lo:hi], ln_s[b:e])
-            if rate is not None:
-                expo += np.multiply.outer(rate[lo:hi], times[b:e])
-            acc[:, b:e] += (coef[:, lo:hi] @ np.exp(expo)).real
+        zs = zc[lo:hi]
+        n_l = int(np.searchsorted(neg_l, -hi, side="right"))
+        n_d = int(np.searchsorted(neg_d, -hi, side="right"))
+        factors = None
+        if n_l:
+            k0 = int(k_min[n_l - 1])
+            B = math.isqrt(int(k_max[n_l - 1]) - k0) + 1
+            q, r = np.divmod(k[:n_l] - k0, B)
+            Q = int(q.max()) + 1
+            if n_l > Q + B:
+                c = (k0 + B * np.arange(Q)) * h
+                f = np.arange(B) * h
+                CF = np.multiply.outer(np.concatenate((c, f)), zs)
+                np.exp(CF, out=CF)
+                CF[:Q] *= anchor[lo:hi]
+                factors = (c, f, CF[:Q], CF[Q:])
+        blk = np.empty((min(_SPOT_BLOCK, max(n_l, n_d)), hi - lo), dtype=complex)
+        tmp = None if factors is None else np.empty_like(blk)
+        for start, stop in ((0, n_l), (n_on, n_on + n_d)):
+            for b in range(start, stop, _SPOT_BLOCK):
+                e = min(b + _SPOT_BLOCK, stop)
+                cells = blk[:e - b]
+                if factors is not None and b < n_on:
+                    c, f, C, F = factors
+                    fix = tmp[:e - b]
+                    np.take(C, q[b:e], axis=0, out=cells, mode="clip")
+                    np.take(F, r[b:e], axis=0, out=fix, mode="clip")
+                    cells *= fix
+                    eps = (shift[b:e] - c[q[b:e]]) - f[r[b:e]]
+                    np.multiply.outer(eps, zs, out=fix)
+                    fix += 1.0
+                    cells *= fix
+                else:
+                    np.multiply.outer(shift[b:e], zs, out=cells)
+                    if rate is not None:
+                        cells += np.multiply.outer(times[b:e], rc[lo:hi])
+                    np.exp(cells, out=cells)
+                    cells *= anchor[lo:hi]
+                # cells hold conj(s^z): Re(a s^z) = Re a Re cells + Im a Im cells
+                acc[:, b:e] += coef[:, lo:hi].view(float) @ cells.view(float).T
         lo = hi
     out = np.empty_like(acc)
     out[:, order] = 2.0 * acc
@@ -735,11 +839,15 @@ def tabulate_transform(measure: TransformMeasure, s_grid, weight=None, *,
 
     ``weight(z)`` may return a leading row axis, ``(rows, *z.shape)``, to
     evaluate many weights at once.  Each line gets one fixed Kronrod panel
-    plan for every s and every row (one ``exp`` matrix per block of spots
-    instead of one adaptive quadrature per point), capped where the
-    weights have damped every row's integrand away; each point is
+    plan for every s and every row (one matrix of ``s^z`` cells per block
+    of spots instead of one adaptive quadrature per point), capped where
+    the weights have damped every row's integrand away; each point is
     truncated at its own needed height, and the oscillatory tails of all
-    rows are completed analytically in one batch.  Returns ``(values,
+    rows are completed analytically in one batch.  Spots on a uniform
+    log-spot lattice take their cells from per-node lattice factors by
+    the addition theorem of the exponential, so about ``2 sqrt(m)``
+    exponentials per node serve m such spots; other spots take one
+    ``exp`` per cell.  Returns ``(values,
     err_estimate)``; values have shape ``(rows, len(s_grid))``, or
     ``(len(s_grid),)`` for a weight without a row axis.
     """

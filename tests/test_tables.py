@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import levyhedge as lh
+from levyhedge import numerics
 from levyhedge import payoffs as po
 from levyhedge import simulate as sim
 from levyhedge.simulate import PathGrid
@@ -193,15 +194,27 @@ WALK_CASES = {
 }
 
 
+TWO_PI = 8.0 * np.arctan(np.longdouble(1.0))
+
+
 def dense_kept_cell_sums(coef, z, rate, v, cut, ln_s, times):
-    # every node against every spot, the cells beyond a spot's cut zeroed
+    # every node against every spot, the cells beyond a spot's cut zeroed;
+    # the phases z ln s (and rate t) are formed in extended precision and
+    # reduced mod 2 pi before the float64 exp, so the reference's own
+    # rounding stays well below the bound it is held to
+    ld = np.longdouble
     vals = np.empty((coef.shape[0], cut.size))
     for lo in range(0, cut.size, po._SPOT_BLOCK):
         b = slice(lo, lo + po._SPOT_BLOCK)
-        expo = np.multiply.outer(z, ln_s[b])
+        x = ln_s[b].astype(ld)
+        re = np.multiply.outer(z.real.astype(ld), x)
+        im = np.multiply.outer(z.imag.astype(ld), x)
         if rate is not None:
-            expo += np.multiply.outer(rate, times[b])
-        emat = np.exp(expo)
+            t = times[b].astype(ld)
+            re += np.multiply.outer(rate.real.astype(ld), t)
+            im += np.multiply.outer(rate.imag.astype(ld), t)
+        im -= TWO_PI * np.rint(im / TWO_PI)
+        emat = np.exp(re.astype(float)) * np.exp(1j * im.astype(float))
         emat *= (v[:, None] <= cut[None, b])
         vals[:, b] = 2.0 * np.real(coef @ emat)
     return vals
@@ -241,6 +254,90 @@ def test_kept_cell_sums_match_the_dense_product():
         got = po._kept_cell_sums(coef, z, r, v, cut, ln_s, t)
         want = dense_kept_cell_sums(coef, z, r, v, cut, ln_s, t)
         assert_rows_match(got, want)
+
+
+def count_exps(monkeypatch):
+    """Counts the elements passed to ``np.exp`` from here on."""
+    formed = [0]
+    exp = np.exp
+
+    def counting(x, *args, **kwargs):
+        formed[0] += np.size(x)
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting)
+    return formed
+
+
+def test_grid_without_a_lattice_takes_direct_rows(monkeypatch):
+    rng = np.random.default_rng(7)
+    v = np.sort(rng.uniform(0.0, 400.0, 150))
+    z = 0.5 + 1j * v
+    coef = (rng.normal(size=(2, v.size)) + 1j * rng.normal(size=(2, v.size))) \
+        * np.exp(-v / 100.0)
+    ln_s = np.sort(rng.normal(4.6, 0.3, 700))
+    cut = rng.uniform(0.0, 450.0, ln_s.size)
+    on = po._log_lattice(ln_s)[0]
+    assert np.count_nonzero(on) <= 2          # the pair that anchors it
+    want = dense_kept_cell_sums(coef, z, None, v, cut, ln_s, None)
+    formed = count_exps(monkeypatch)
+    got = po._kept_cell_sums(coef, z, None, v, cut, ln_s, None)
+    # one exp per kept cell, and one per node for the anchor factor
+    assert formed[0] == np.searchsorted(v, cut, side="right").sum() + v.size
+    assert_rows_match(got, want)
+
+
+@pytest.mark.parametrize("payoff", [lh.call(99.0), lh.call(95.0) - lh.call(105.0)],
+                         ids=["call", "spread"])
+def test_log_lattice_finds_the_uniform_part_of_spot_grids(payoff):
+    grid = sim._spot_grid(NIG_FIT, payoff, S0, T)
+    clusters = []
+    for line in payoff.lines():
+        k = np.log(line.strike_scale)
+        offs = 10.0 ** np.arange(-8.0, 0.0)
+        clusters.append(np.exp(np.concatenate((k - offs, [k], k + offs))))
+    in_cluster = np.isin(grid, np.concatenate(clusters))
+    on, k, x_c, h = po._log_lattice(np.log(grid))
+    assert np.count_nonzero(on) == 1400
+    assert not np.any(on & in_cluster)
+    assert np.all(on | in_cluster)
+    assert np.ptp(k[on]) == 1399
+
+
+def lattice_grid_case():
+    """A 1400-point log lattice with the clusters of two strikes, nodes up
+    to 1e6 and cuts that rise toward either strike."""
+    lo, hi = np.log(60.0), np.log(160.0)
+    pts = [np.linspace(lo, hi, 1400)]
+    for K in (95.0, 105.0):
+        offs = 10.0 ** np.arange(-8.0, 0.0)
+        pts.append(np.log(K) + np.concatenate((-offs, [0.0], offs)))
+    ln_s = np.log(np.exp(np.unique(np.concatenate(pts))))
+    edges = np.concatenate((np.linspace(0.0, 8.0, 13),
+                            np.geomspace(8.0, 1e6, 80)[1:]))
+    v, w = numerics._nodes_from_edges(edges, numerics._K15)
+    z = 0.5 + 1j * v
+    dens = w / (2.0 * np.pi * z)
+    coef = np.stack((dens * 95.0 ** -z * np.exp(-v / 2e5),
+                     dens * 105.0 ** -z * np.exp(-v / 1e4),
+                     w * np.exp(-v / 50.0) / (z * z)))
+    x = np.min(np.abs(ln_s[:, None] - np.log([95.0, 105.0])), axis=1)
+    need = np.minimum(1e6, 4.0 / np.maximum(x, 1e-12))
+    cut = edges[np.minimum(np.searchsorted(edges, need), edges.size - 1)]
+    return coef, z, v, cut, ln_s
+
+
+def test_lattice_rows_match_the_extended_reference_up_to_large_heights(
+        monkeypatch):
+    coef, z, v, cut, ln_s = lattice_grid_case()
+    keep = np.searchsorted(v, cut, side="right")
+    assert v[-1] > 9e5 and np.unique(keep).size >= 10
+    assert np.count_nonzero(keep >= keep.min()) > po._SPOT_BLOCK
+    want = dense_kept_cell_sums(coef, z, None, v, cut, ln_s, None)
+    formed = count_exps(monkeypatch)
+    got = po._kept_cell_sums(coef, z, None, v, cut, ln_s, None)
+    assert formed[0] <= 0.4 * keep.sum()
+    assert_rows_match(got, want)
 
 
 @pytest.mark.parametrize("case", sorted(WALK_CASES))
@@ -292,7 +389,7 @@ def test_table_pass_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 48e6, peak
+    assert peak <= 34e6, peak
 
 
 @pytest.mark.xfail(strict=True, reason=(
