@@ -659,9 +659,8 @@ def _log_lattice(ln_s):
     one = np.abs(d - h) <= 2.0 * tol
     anchored = xs[np.concatenate((one, [False])) | np.concatenate(([False], one))]
     x_c = float(anchored[np.argmin(np.abs(anchored - 0.5 * (xs[0] + xs[-1])))])
-    k_ends = np.rint((anchored[[0, -1]] - x_c) / h)
-    if k_ends[1] > k_ends[0]:
-        h = float((anchored[-1] - anchored[0]) / (k_ends[1] - k_ends[0]))
+    span = anchored[-1] - anchored[0]
+    h = float(span / np.rint(span / h))
     k = np.rint((ln_s - x_c) / h).astype(np.int64)
     return np.abs((ln_s - x_c) - k * h) <= tol, k, x_c, h
 

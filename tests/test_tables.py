@@ -332,7 +332,8 @@ def test_lattice_rows_match_the_extended_reference_up_to_large_heights(
     coef, z, v, cut, ln_s = lattice_grid_case()
     keep = np.searchsorted(v, cut, side="right")
     assert v[-1] > 9e5 and np.unique(keep).size >= 10
-    assert np.count_nonzero(keep >= keep.min()) > po._SPOT_BLOCK
+    # the first segment runs over every spot, in several blocks
+    assert np.all(keep > 0) and keep.size > po._SPOT_BLOCK
     want = dense_kept_cell_sums(coef, z, None, v, cut, ln_s, None)
     formed = count_exps(monkeypatch)
     got = po._kept_cell_sums(coef, z, None, v, cut, ln_s, None)
