@@ -30,7 +30,6 @@ from .numerics import (
     QuadratureResult,
     bessel_k1,
     beta,
-    contour_integrate,
     double_contour_integrate,
     log_gamma,
 )

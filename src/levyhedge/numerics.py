@@ -6,9 +6,13 @@ integrals) is built on the primitives in this module:
 * ``bessel_k1``/``bessel_k1e``, ``log_gamma``, ``beta`` -- special
   functions of complex arguments as numpy array code (``K1`` by series,
   fixed Gauss-Laguerre rules or Hankel's expansion, by ``|w|``),
-* ``contour_integrate`` / ``double_contour_integrate`` -- adaptive
-  Gauss-Kronrod quadrature along vertical segments ``{R + iv : |v| <= c}``,
-  always symmetrically truncated, so principal values come out right.
+* ``_adapt`` -- adaptive Gauss-Kronrod (K15/G7) quadrature of one or
+  several intervals in level-synchronous rounds, on which the payoff
+  engine's line integrals, the ``J0`` axis layouts and the far-ridge
+  integral run,
+* ``double_contour_integrate`` -- tensor-product quadrature over two
+  vertical segments ``{R + iv : |v| <= c}``, always symmetrically
+  truncated, so principal values come out right.
 
 Convention: a contour integral here always means the integral of
 ``f(R + iv)`` with respect to the *real* coordinate ``v``.  Measure
@@ -35,9 +39,7 @@ __all__ = [
     "bessel_k1e",
     "log_gamma",
     "beta",
-    "contour_integrate",
     "double_contour_integrate",
-    "bromwich_integrate",
 ]
 
 EULER_GAMMA = 0.57721566490153286060651209008240243
@@ -49,10 +51,12 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """Vertical integration segment ``{abscissa + iv : |v| <= truncation}``.
+    """One axis of ``double_contour_integrate``: the vertical segment
+    ``{abscissa + iv : |v| <= truncation}``.
 
-    ``node_budget`` caps the number of integrand evaluations.  The
-    quadrature grid is symmetric about ``v = 0`` by construction
+    ``node_budget`` caps the nodes of the axis's panel layout, and the
+    product of both axes' budgets the node pairs of the tensor passes.
+    The quadrature grid is symmetric about ``v = 0`` by construction
     (opposite-sign nodes are always evaluated in pairs), so a principal
     value needs no special mode.
     """
@@ -431,111 +435,6 @@ def _adapt(fv, intervals, tol_abs: float, max_evals: int, *,
              zip(np.split(a, starts[1:]), np.split(b, starts[1:]))]
     return (np.add.reduceat(val, starts), np.add.reduceat(err, starts).tolist(),
             int(np.sum(spent)), edges)
-
-
-def _wrap_integrand(integrand, abscissa: float, conjugate_symmetric: bool):
-    """Fold the vertical-line integrand onto v >= 0.
-
-    For any integrand, ``int_{-c}^{c} f(R+iv) dv = int_0^c (f(R+iv) +
-    f(R-iv)) dv``; with declared conjugate symmetry the pair sum is
-    ``2 Re f(R+iv)``, which guarantees bit-real results and halves cost.
-    For a principal value the pairing *is* the symmetric truncation.
-    """
-    R = abscissa
-    if conjugate_symmetric:
-        def fv(v):
-            z = R + 1j * np.asarray(v)
-            return 2.0 * np.real(integrand(z)) + 0j
-    else:
-        def fv(v):
-            v = np.asarray(v)
-            z = np.concatenate((R + 1j * v, R - 1j * v))
-            y = np.asarray(integrand(z), dtype=complex)
-            n = v.size
-            return y[:n] + y[n:]
-    return fv
-
-
-def contour_integrate(integrand, contour: ContourSpec, *,
-                      tol_abs: float = 1e-10, tol_rel: float = 1e-10,
-                      conjugate_symmetric: bool = False) -> QuadratureResult:
-    """Integrate ``integrand(R + iv)`` in v over ``[-c, c]``.
-
-    ``integrand`` must be vectorized (ndarray of complex -> ndarray).
-    Opposite-sign nodes are evaluated jointly, so the result is the
-    symmetrically truncated integral.  If the tolerance
-    cannot be met within ``contour.node_budget`` evaluations the result is
-    returned with ``converged=False``.
-    """
-    fv = _wrap_integrand(integrand, contour.abscissa, conjugate_symmetric)
-    (value,), (err,), nevals, _ = _adapt(
-        fv, [np.linspace(0.0, contour.truncation, 9)], tol_abs,
-        contour.node_budget)
-    converged = err <= max(tol_abs, tol_rel * abs(value))
-    return QuadratureResult(value, err, nevals, converged)
-
-
-def bromwich_integrate(integrand, abscissa: float, *,
-                       tol_abs: float = 1e-10,
-                       node_budget: int = 400_000,
-                       truncation_cap: float = 1e9,
-                       c_start: float = 64.0,
-                       dead_tol_factor: float = 0.5,
-                       external_tail: bool = False):
-    """Self-truncating vertical-line integral of a conjugate-symmetric
-    integrand, folded onto v >= 0 as ``2 Re integrand(R + iv)``.
-
-    Integrates outward in geometrically growing segments ``[c, 2c]``, the
-    first being ``[0, min(64, c_start)]``, until two consecutive segment
-    contributions fall below ``dead_tol_factor * tol_abs`` at a height of
-    at least ``c_start``, or the truncation cap / node budget is hit.  A
-    short first segment keeps its panels fine enough for the bulk near
-    ``v = 0`` however tall ``c_start`` is, and its first panel is graded
-    towards ``v = 0``, where payoff poles sit closest to the contour.  The
-    segments up to ``c_start`` are always needed, so they are adapted
-    together; beyond it, one segment at a time.  The observed segment
-    contribution is itself the tail estimate: valid for damped and
-    oscillatory-algebraic integrands alike.  With ``external_tail`` the
-    caller completes the tail analytically (see the payoff engine), so no
-    segment-based tail heuristic is added.  Returns ``(result, height)``,
-    the height being where the run stopped.
-    """
-    fv = _wrap_integrand(integrand, abscissa, True)
-    hi = min(64.0, c_start, truncation_cap)
-    segments = [np.append(hi / 8.0 * np.array([0.0, 1 / 16, 1 / 8, 1 / 4, 0.5]),
-                          np.linspace(hi / 8.0, hi, 8))]
-    while hi < c_start and hi < 0.999999 * truncation_cap:
-        lo, hi = hi, min(2.0 * hi, truncation_cap)
-        segments.append(np.linspace(lo, hi, 9))
-    value = 0.0 + 0j
-    err = 0.0
-    nevals = 0
-    small_streak = 0
-    converged = True
-    while True:
-        vals, errs, ne, _ = _adapt(fv, segments, 0.1 * tol_abs,
-                                   node_budget - nevals)
-        nevals += ne
-        err += sum(errs)
-        for v in vals:
-            value += v
-            small = abs(v) < dead_tol_factor * tol_abs
-            small_streak = small_streak + 1 if small else 0
-        at_cap = hi >= 0.999999 * truncation_cap
-        if (small_streak >= 2 and hi >= c_start) or at_cap:
-            if not external_tail:
-                err += abs(v)
-                if at_cap and small_streak < 2:
-                    converged = abs(v) < tol_abs
-            break
-        if nevals >= node_budget:
-            converged = False
-            break
-        lo, hi = hi, min(2.0 * hi, truncation_cap)
-        segments = [np.linspace(lo, hi, 9)]
-    result = QuadratureResult(value, err, nevals,
-                              converged and err <= 5.0 * tol_abs + 1e-300)
-    return result, hi
 
 
 # ---------------------------------------------------------------------------

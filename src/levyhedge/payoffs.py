@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import numerics
-from .numerics import ContourSpec, QuadratureResult, bromwich_integrate
+from .numerics import ContourSpec, QuadratureResult
 from .models import MomentStrip
 
 __all__ = [
@@ -384,7 +384,7 @@ _LINE_NODES = 400_000    # node budget of one line integral
 
 
 def _height_plan(line: Line, s_values, tol_abs: float, cap: float = _NO_CAP):
-    """Per-point truncation heights, tail-correction flags and direct tails.
+    """Per-point truncation heights and tail-correction flags.
 
     The integrand along the line behaves like an envelope of size
     ``A_eff / v^p`` times the oscillation ``exp(i v x)``, ``x = log(s/K)``.
@@ -395,8 +395,7 @@ def _height_plan(line: Line, s_values, tol_abs: float, cap: float = _NO_CAP):
     oscillation and the direct envelope bound sets the height (for p <= 1
     the conjugate pairing leaves an ``A_eff max(1,|R|) / v^2`` real part).
     Whichever admissible height is smaller wins; ``correct`` marks the
-    points that rely on the completion, and ``tails`` is the direct
-    envelope bound on the tail beyond each height.
+    points that rely on the completion.
     """
     amp = line.density_amplitude()
     p = line.decay_power
@@ -404,8 +403,8 @@ def _height_plan(line: Line, s_values, tol_abs: float, cap: float = _NO_CAP):
     ss = np.atleast_1d(np.asarray(s_values, dtype=float))
     xs = np.abs(np.log(ss) - math.log(line.strike_scale))
     a_eff = amp * ss ** R
-    # factor 8 headroom lets the segment-doubling stop criterion terminate
-    # before the cap, so borderline cases are not flagged unconverged
+    # factor 8 headroom: the envelope tail beyond the height stays an
+    # eighth of tol_abs
     if p > 1.0:
         c_direct = (8.0 * a_eff / ((p - 1.0) * tol_abs)) ** (1.0 / (p - 1.0))
     else:
@@ -421,9 +420,7 @@ def _height_plan(line: Line, s_values, tol_abs: float, cap: float = _NO_CAP):
     c_osc = np.where(xs >= _X_FLOOR, c_osc, np.inf)
     correct = c_osc < c_direct
     heights = np.clip(np.where(correct, c_osc, c_direct), 64.0, cap)
-    tails = (a_eff / ((p - 1.0) * heights ** (p - 1.0)) if p > 1.0
-             else a_eff * max(1.0, abs(R)) / heights)
-    return heights, correct & (heights < cap * 0.999), tails
+    return heights, correct & (heights < cap * 0.999)
 
 
 def tail_completion(line: Line, s_sel, cs, weight3=None):
@@ -485,37 +482,37 @@ def tail_completion(line: Line, s_sel, cs, weight3=None):
 
 def _line_integral(line: Line, weight, s: float, tol_abs: float,
                    node_budget: int):
-    """integral over the line of density(z) * s^z * weight(z) dv."""
+    """integral over the line of density(z) * s^z * weight(z) dv.
+
+    The tables' panel plan for the one spot (``_weight_cap``,
+    ``_planned_edges``), which ends at the spot's own height, adapted at
+    ``0.1 tol_abs`` on the integrand folded onto v >= 0 as ``2 Re``, with
+    its oscillatory tail completed where the plan relies on that.
+    """
+    R = line.abscissa
     ln_s = math.log(s)
-    x = ln_s - math.log(line.strike_scale)
 
-    def integrand(z):
-        w = weight(z) if weight is not None else 1.0
-        return line.density(z) * np.exp(z * ln_s) * w
+    def terms(z):
+        w = np.ones(np.shape(z)) if weight is None else np.asarray(weight(z))
+        return w[None], None
 
-    heights, corr, tails = _height_plan(line, [s], tol_abs)
-    c = float(heights[0])
-    use_corr = bool(corr[0])
-    # a direct height clipped up to 64 ends the run at its cap after one
-    # segment, whose whole value is no tail estimate; the envelope bound is
-    floored = not use_corr and c <= 64.0
-    c_start = min(max(64.0, _CX_MIN / abs(x)), c) if use_corr else 64.0
-    res, c_stop = bromwich_integrate(
-        integrand, line.abscissa, tol_abs=tol_abs,
-        node_budget=node_budget, truncation_cap=c, c_start=c_start,
-        dead_tol_factor=1e-3 if use_corr else 0.5,
-        external_tail=use_corr or floored)
-    if floored:
-        err = res.error_estimate + float(tails[0])
-        res = QuadratureResult(res.value, err, res.nodes_used,
-                               res.converged and err <= 5.0 * tol_abs)
-    if use_corr and c_stop * abs(x) >= 0.9 * _CX_MIN:
-        tail, resid = tail_completion(line, [s], [c_stop], weight)
-        res = QuadratureResult(res.value + float(tail[0]),
-                               res.error_estimate + float(resid[0]),
-                               res.nodes_used + 6,
-                               res.converged and resid[0] < 4.0 * tol_abs)
-    return res
+    def fv(v):
+        z = R + 1j * v
+        w = 1.0 if weight is None else weight(z)
+        return 2.0 * np.real(line.density(z) * np.exp(z * ln_s) * w) + 0j
+
+    cap = _weight_cap(line, terms, s, tol_abs, None)
+    edges, (c,), (correct,) = _planned_edges(line, np.array([s]), tol_abs, cap)
+    (value,), (err,), nodes, _ = numerics._adapt(fv, [edges], 0.1 * tol_abs,
+                                                 node_budget)
+    converged = err <= 5.0 * tol_abs
+    if correct:
+        tail, resid = tail_completion(line, [s], [c], weight)
+        value += float(tail[0])
+        err += float(resid[0])
+        nodes += 6
+        converged = converged and resid[0] < 4.0 * tol_abs
+    return QuadratureResult(value, err, nodes, converged)
 
 
 def integrate_measure(measure: TransformMeasure, s: float, weight=None, *,
@@ -586,7 +583,7 @@ def _planned_edges(line: Line, s_grid: np.ndarray, tol_abs: float, cap: float):
     ``(edges, c_per_s, correct_mask)``.
     """
     xs = np.abs(np.log(s_grid) - math.log(line.strike_scale))
-    heights, correct, _ = _height_plan(line, s_grid, tol_abs, cap)
+    heights, correct = _height_plan(line, s_grid, tol_abs, cap)
     c_per_s = np.minimum(heights, cap)
     c_max = float(np.max(c_per_s))
     order = np.argsort(c_per_s)          # retirement order
@@ -613,30 +610,28 @@ def _planned_edges(line: Line, s_grid: np.ndarray, tol_abs: float, cap: float):
     return np.asarray(edges), c_per_s, correct
 
 
+# candidate weight caps: doublings from 64 below 1e9
+_CAP_HEIGHTS = 64.0 * 2.0 ** np.arange(24)
+
+
 def _weight_cap(line: Line, terms, s_hi: float, tol_abs: float, times):
     """Height beyond which the integrand of every row is negligible for
     good, or ``_NO_CAP`` when none is found below 1e9 (as for an undamped
-    row)."""
+    row).  The peak and every candidate height are probed in one call of
+    ``terms``."""
     R = line.abscissa
-    if times is not None:
+    z = R + 1j * np.concatenate(([0.5, 1.0], 0.71 * _CAP_HEIGHTS, _CAP_HEIGHTS))
+    rows, rate = terms(z)
+    mag = np.max(np.abs(rows), axis=0)
+    if rate is not None:
         t_ends = np.array([np.min(times), np.max(times)])
-
-    def probe(v):
-        z = R + 1j * v
-        rows, rate = terms(z)
-        mag = np.max(np.abs(rows), axis=0)
-        if rate is not None:
-            mag = mag * np.max(np.exp(np.multiply.outer(np.real(rate), t_ends)),
-                               axis=-1)
-        return float(np.max(np.abs(line.density(z)) * mag)) * s_hi ** R
-
-    peak = probe(np.array([0.5, 1.0])) + 1e-300
-    c = 64.0
-    while c < 1e9:
-        if probe(np.array([0.71 * c, c])) * c < 1e-3 * tol_abs + 1e-16 * peak:
-            return c
-        c *= 2.0
-    return _NO_CAP
+        mag = mag * np.max(np.exp(np.multiply.outer(np.real(rate), t_ends)),
+                           axis=-1)
+    mag = np.abs(line.density(z)) * mag * s_hi ** R
+    peak = float(np.max(mag[:2])) + 1e-300
+    tails = mag[2:].reshape(2, -1).max(axis=0) * _CAP_HEIGHTS
+    small = np.flatnonzero(tails < 1e-3 * tol_abs + 1e-16 * peak)
+    return float(_CAP_HEIGHTS[small[0]]) if small.size else _NO_CAP
 
 
 def _log_lattice(ln_s):

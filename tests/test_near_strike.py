@@ -1,10 +1,13 @@
 """Quotes and backtests with the strike a few 1e-4 from the spot in
-log-spot, where a line integral's first segment must still resolve the
+log-spot, where a line integral's first panels must still resolve the
 bulk of the integrand near v = 0."""
+
+import math
 
 import pytest
 
 import levyhedge as lh
+from levyhedge import payoffs as po
 from levyhedge.simulate import backtest_discrete
 
 S0, T = 100.0, 0.25
@@ -57,3 +60,15 @@ def test_vg_put_capital_off_the_strike_converges(dates):
     else:
         v0 = lh.initial_capital(lh.coefficients(model, T, dates), lh.put(101.0), 99.5)
     assert 4.8 < v0 < 4.9
+
+
+def test_vg_digital_xi_near_the_strike_lies_within_its_estimate():
+    # 1e-3 above the strike in log-spot, at the quotes' default tolerance;
+    # 2.21452106362 is the value at tol_abs 1e-10 and 1e-11 (1 + spot)
+    spot = 100.5 * math.exp(0.001)
+    co = lh.coefficients_ct(lh.VG(alpha=20.0, beta=-1.0, delta=1.5, mu=0.05), T)
+    res = po.integrate_measure(lh.digital(100.5), spot,
+                               co._quote_weight(0.0, True),
+                               tol_abs=1e-8 * (1.0 + spot))
+    assert res.converged
+    assert abs(res.value.real - 2.21452106362) <= res.error_estimate

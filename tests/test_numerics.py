@@ -10,8 +10,6 @@ from levyhedge.numerics import (
     DomainError,
     bessel_k1,
     beta,
-    bromwich_integrate,
-    contour_integrate,
     double_contour_integrate,
     log_gamma,
 )
@@ -328,64 +326,30 @@ def _call_density_integrand(s, K=1.0):
     return f
 
 
-def test_contour_integrate_zero():
-    res = contour_integrate(lambda z: np.zeros_like(z),
-                            ContourSpec(1.0, 10.0))
-    assert res.value == 0.0
-    assert res.converged
-
-
-def test_contour_integrate_call_reconstruction():
-    # the transform of (s-K)^+ at s = 2, K = 1, R = 2 integrates to 1
-    res = contour_integrate(_call_density_integrand(2.0),
-                            ContourSpec(2.0, 20000.0, 400_000),
-                            tol_abs=1e-10, conjugate_symmetric=True)
-    assert res.value.real == pytest.approx(1.0, abs=1e-8)
-
-
-def test_contour_integrate_digital_pv_at_strike():
-    def f(z):
-        return 1.0 / (2.0 * math.pi * z)
-
-    res = contour_integrate(f, ContourSpec(0.5, 5e5, 400_000),
-                            tol_abs=1e-6, conjugate_symmetric=True)
-    assert res.value.real == pytest.approx(0.5, abs=1e-4)
-
-
-def test_contour_integrate_conjugate_symmetric_output_real():
-    res = contour_integrate(_call_density_integrand(1.7),
-                            ContourSpec(2.0, 500.0),
-                            conjugate_symmetric=False)
-    assert abs(res.value.imag) <= 1e-10 * (1.0 + abs(res.value.real))
+def _adapt_folded_call(budget):
+    # the call integrand at s = 2 folded onto v >= 0 as 2 Re f(2 + iv),
+    # adapted on [0, 400] from eight uniform panels
+    f = _call_density_integrand(2.0)
+    (value,), (err,), nevals, _ = numerics._adapt(
+        lambda v: 2.0 * np.real(f(2.0 + 1j * v)) + 0j,
+        [np.linspace(0.0, 400.0, 9)], 1e-14, budget)
+    return value, err, nevals
 
 
 def test_refinement_convergence_budget_doubling():
-    f = _call_density_integrand(2.0)
-    small = contour_integrate(f, ContourSpec(2.0, 400.0, 480),
-                              tol_abs=1e-14, conjugate_symmetric=True)
-    big = contour_integrate(f, ContourSpec(2.0, 400.0, 960),
-                            tol_abs=1e-14, conjugate_symmetric=True)
-    assert abs(big.value - small.value) <= small.error_estimate + 1e-15
+    small, small_err, _ = _adapt_folded_call(480)
+    big, _, _ = _adapt_folded_call(960)
+    assert abs(big - small) <= small_err + 1e-15
 
 
 def test_budget_between_split_steps_keeps_the_refined_result():
     # a budget that is no multiple of a split's 30 nodes must not swap the
     # refined result for a coarse one, nor spend more than it allows
-    f = _call_density_integrand(2.0)
-    ref = contour_integrate(f, ContourSpec(2.0, 400.0, 480), tol_abs=1e-14,
-                            conjugate_symmetric=True)
+    ref, _, _ = _adapt_folded_call(480)
     for budget in (490, 500):
-        res = contour_integrate(f, ContourSpec(2.0, 400.0, budget),
-                                tol_abs=1e-14, conjugate_symmetric=True)
-        assert res.nodes_used <= budget
-        assert abs(res.value.real - 1.0) <= 2.0 * abs(ref.value.real - 1.0)
-
-
-def test_bromwich_self_truncation_matches_fixed_segment():
-    f = _call_density_integrand(2.0)
-    res, height = bromwich_integrate(f, 2.0, tol_abs=1e-9, truncation_cap=1e8)
-    assert res.value.real == pytest.approx(1.0, abs=5e-7)
-    assert 64.0 <= height <= 1e8
+        value, _, nevals = _adapt_folded_call(budget)
+        assert nevals <= budget
+        assert abs(value.real - 1.0) <= 2.0 * abs(ref.real - 1.0)
 
 
 def _peak(v):
@@ -519,9 +483,8 @@ def test_double_contour_separable_fubini():
     spec = ContourSpec(0.5, 300.0)
     res = double_contour_integrate(kernel, spec, spec, tol_abs=1e-10,
                                    symmetric=True)
-    one_d = contour_integrate(lambda z: fy(np.imag(z)) + 0j, spec,
-                              tol_abs=1e-12, conjugate_symmetric=True)
-    assert res.value == pytest.approx(one_d.value.real ** 2, rel=1e-7)
+    one_d = 2.0 * math.atan(300.0)
+    assert res.value == pytest.approx(one_d ** 2, rel=1e-7)
 
 
 def test_g12_rule_matches_mpmath():

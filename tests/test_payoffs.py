@@ -199,14 +199,15 @@ def test_pv_doubling_stability_off_strike():
     line = lh.digital(1.0).lines()[0]
     vals = {}
     for mult in (1.0, 2.0):
-        heights, _, _ = po._height_plan(line, [2.0], 1e-9)
+        heights, _ = po._height_plan(line, [2.0], 1e-9)
         c = float(heights[0]) * mult
         ln_s = math.log(2.0)
 
-        def f(z):
-            return line.density(z) * np.exp(z * ln_s)
+        def fv(v):
+            # the integrand folded onto v >= 0 as 2 Re f(R + iv)
+            z = line.abscissa + 1j * v
+            return 2.0 * np.real(line.density(z) * np.exp(z * ln_s)) + 0j
 
-        fv = po.numerics._wrap_integrand(f, line.abscissa, True)
         (v,), _, _, _ = po.numerics._adapt(fv, [np.linspace(0.0, c, 17)],
                                            1e-11, 600_000)
         tail, _ = po.tail_completion(line, [2.0], [c])
