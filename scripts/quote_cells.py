@@ -156,7 +156,8 @@ def compare(out_path, parent_paths, change_paths, reference_paths):
             continue
         delta = abs(b["value"] - a["value"])
         summed = a["estimate"] + b["estimate"]
-        ratio = delta / summed if summed > 0.0 else math.inf * (delta > 0.0)
+        ratio = (delta / summed if summed > 0.0
+                 else math.inf if delta > 0.0 else 0.0)
         g["max_delta_over_summed_estimates"] = max(
             g["max_delta_over_summed_estimates"], ratio)
         worst = max(worst, (ratio, k))

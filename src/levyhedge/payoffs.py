@@ -486,8 +486,11 @@ def _line_integral(line: Line, weight, s: float, tol_abs: float,
 
     The tables' panel plan for the one spot (``_weight_cap``,
     ``_planned_edges``), which ends at the spot's own height, adapted at
-    ``0.1 tol_abs`` on the integrand folded onto v >= 0 as ``2 Re``, with
-    its oscillatory tail completed where the plan relies on that.
+    ``0.1 tol_abs`` on the integrand folded onto v >= 0, with its
+    oscillatory tail completed where the plan relies on that.  The
+    integrand is conjugate-symmetric, so the fold ``f(R+iv) + f(R-iv)`` is
+    ``2 Re f(R+iv)``: the result is real, and for a principal value the
+    pairing is the symmetric truncation.
     """
     R = line.abscissa
     ln_s = math.log(s)
