@@ -128,7 +128,9 @@ class ForbiddenJumpError(ValueError):
 #
 # Each coefficient class supplies what differs between the time models:
 # ``_quote_weight`` (the range check of a quote date, the time left after
-# it, and the weight of H or xi) and ``_pair_kernel`` (the error-variance
+# it, and the weight of H or xi as a ``payoffs._TermsWeight`` of its terms,
+# so that quotes against one coefficient set share the terms on the fixed
+# block of their line integrals) and ``_pair_kernel`` (the error-variance
 # kernel, or None when the market is complete).
 # ---------------------------------------------------------------------------
 
@@ -172,19 +174,17 @@ class DiscreteHedgeCoefficients:
         return self.moment_terms(z)[3]
 
     def _quote_weight(self, n, ratio):
-        """Weight of xi_n (``ratio``: g h^(N-n)) or of H_n (h^(N-n))."""
+        """Weight of xi_n (``ratio``: g h^(N-n)) or of H_n (h^(N-n)); H_N's
+        needs no terms."""
         first = 1 if ratio else 0
         if not first <= n <= self.N:
             raise ValueError(f"n must lie in [{first}, {self.N}], got {n}")
         k = self.N - n
-
-        def weight(z):
-            if ratio:
-                _, _, g, h = self.moment_terms(z)
-                return g * h ** k
-            return self.h(z) ** k if k else np.ones_like(np.asarray(z))
-
-        return weight
+        if ratio:
+            return po._TermsWeight(self.moment_terms, lambda g, h: g * h ** k)
+        if k:
+            return po._TermsWeight(self.moment_terms, lambda g, h: h ** k)
+        return lambda z: np.ones_like(np.asarray(z))
 
     @staticmethod
     def _geometric_ratio(a, a_pow, m, m_pow, n: int):
@@ -300,14 +300,11 @@ class ContinuousHedgeCoefficients:
         if not 0.0 <= t <= self.T:
             raise ValueError(f"t must lie in [0, {self.T}], got {t}")
         tau = self.T - t
-
-        def weight(z):
-            if ratio:
-                _, _, gam, eta = self.cumulant_terms(z)
-                return gam * np.exp(eta * tau)
-            return np.exp(self.eta(z) * tau)
-
-        return weight
+        if ratio:
+            return po._TermsWeight(self.cumulant_terms,
+                                   lambda gam, eta: gam * np.exp(eta * tau))
+        return po._TermsWeight(self.cumulant_terms,
+                               lambda gam, eta: np.exp(eta * tau))
 
     def _pair_kernel(self, S0):
         model, T = self.model, self.T

@@ -18,6 +18,7 @@ lines).  Linear combinations compose with ``+`` and scalar ``*``.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -383,7 +384,8 @@ _NO_CAP = 1e13           # truncation cap of an undamped integrand
 _LINE_NODES = 400_000    # node budget of one line integral
 
 
-def _height_plan(line: Line, s_values, tol_abs: float, cap: float = _NO_CAP):
+def _height_plan(line: Line, s_values, tol_abs: float, cap: float = _NO_CAP,
+                 amp: Optional[float] = None):
     """Per-point truncation heights and tail-correction flags.
 
     The integrand along the line behaves like an envelope of size
@@ -395,9 +397,11 @@ def _height_plan(line: Line, s_values, tol_abs: float, cap: float = _NO_CAP):
     oscillation and the direct envelope bound sets the height (for p <= 1
     the conjugate pairing leaves an ``A_eff max(1,|R|) / v^2`` real part).
     Whichever admissible height is smaller wins; ``correct`` marks the
-    points that rely on the completion.
+    points that rely on the completion.  ``amp`` is the line's
+    ``density_amplitude()``, evaluated here when not given.
     """
-    amp = line.density_amplitude()
+    if amp is None:
+        amp = line.density_amplitude()
     p = line.decay_power
     R = line.abscissa
     ss = np.atleast_1d(np.asarray(s_values, dtype=float))
@@ -480,6 +484,60 @@ def tail_completion(line: Line, s_sel, cs, weight3=None):
     return tail, resid
 
 
+@dataclass(frozen=True)
+class _TermsWeight:
+    """A quote weight built from a time kernel's terms:
+    ``form(*source(z)[-2:])``, with ``source`` a coefficient set's bound
+    ``moment_terms`` or ``cumulant_terms`` (whose last two terms are
+    ``g, h`` and ``gamma, eta``) and ``form`` the quote's elementwise map
+    of them, such as ``g h^k``.  Line integrals take the terms on the
+    fixed block of the one-spot plan from ``_terms_block``."""
+
+    source: Callable
+    form: Callable
+
+    def __call__(self, z):
+        return self.form(*self.source(z)[-2:])
+
+
+# candidate weight caps: doublings from 64 below 1e9
+_CAP_HEIGHTS = 64.0 * 2.0 ** np.arange(24)
+# the heights at which ``_weight_cap`` probes an integrand: its peak, then
+# each candidate cap and 0.71 of it
+_CAP_PROBES = np.concatenate(([0.5, 1.0], 0.71 * _CAP_HEIGHTS, _CAP_HEIGHTS))
+# every plan starts with twelve equal panels on [0, 8], below every height
+_BASE_EDGES = 8.0 * np.arange(13) / 12
+# the fixed block of a one-spot plan on any abscissa: the cap probes, then
+# the K15 nodes of the base panels in the order the plan evaluates them
+_BLOCK_V = np.concatenate((_CAP_PROBES,
+                           numerics._nodes_from_edges(_BASE_EDGES,
+                                                      numerics._K15)[0]))
+_BLOCK_ENTRIES = 64      # entries of each fixed-block cache
+
+
+def _read_only(a):
+    a = np.asarray(a)
+    a.setflags(write=False)
+    return a
+
+
+@functools.lru_cache(maxsize=_BLOCK_ENTRIES)
+def _terms_block(source, R: float):
+    """The last two terms of ``source`` on the fixed block of abscissa R.
+    Bound methods hash by their object's identity, and the cache holds
+    the object, so an entry serves exactly the coefficient set it came
+    from."""
+    return tuple(map(_read_only, source(R + 1j * _BLOCK_V)[-2:]))
+
+
+@functools.lru_cache(maxsize=_BLOCK_ENTRIES)
+def _line_block(line: Line):
+    """A line's density on the fixed block of its abscissa, and its
+    ``density_amplitude()``."""
+    return (_read_only(line.density(line.abscissa + 1j * _BLOCK_V)),
+            line.density_amplitude())
+
+
 def _line_integral(line: Line, weight, s: float, tol_abs: float,
                    node_budget: int):
     """integral over the line of density(z) * s^z * weight(z) dv.
@@ -491,21 +549,52 @@ def _line_integral(line: Line, weight, s: float, tol_abs: float,
     integrand is conjugate-symmetric, so the fold ``f(R+iv) + f(R-iv)`` is
     ``2 Re f(R+iv)``: the result is real, and for a principal value the
     pairing is the symmetric truncation.
+
+    Every plan on abscissa R starts at the same points, ``_BLOCK_V``: the
+    weight-cap probes and the nodes of the base panels.  The line's
+    density there, and the terms of a ``_TermsWeight`` there, come from
+    caches of ``_BLOCK_ENTRIES`` entries each (per line, and per terms
+    source and abscissa), so quotes against one fit evaluate the time
+    kernel only above the base panels.  Every value involved is
+    elementwise, so a quote is bitwise the same warm or cold.  Other
+    weights are evaluated on every node, as is ``s^z``.
     """
     R = line.abscissa
     ln_s = math.log(s)
-
-    def terms(z):
-        w = np.ones(np.shape(z)) if weight is None else np.asarray(weight(z))
-        return w[None], None
+    dens, amp = _line_block(line)
+    n_cap = _CAP_PROBES.size
+    n_base = _BLOCK_V.size - n_cap
+    source = getattr(weight, "source", None)
+    if source is not None:
+        w_block = weight.form(*_terms_block(source, R))
+        w_cap = w_block[:n_cap]
+    elif weight is None:
+        w_cap = np.ones(n_cap)
+    else:
+        w_cap = np.asarray(weight(R + 1j * _CAP_PROBES))
+    first = True
 
     def fv(v):
+        nonlocal first
         z = R + 1j * v
-        w = 1.0 if weight is None else weight(z)
-        return 2.0 * np.real(line.density(z) * np.exp(z * ln_s) * w) + 0j
+        # the first call's leading nodes are the block's base nodes
+        block, first = first, False
+        if block:
+            rest = z[n_base:]
+            d = np.concatenate((dens[n_cap:], line.density(rest)))
+        else:
+            d = line.density(z)
+        if weight is None:
+            w = 1.0
+        elif block and source is not None:
+            w = np.concatenate((w_block[n_cap:], weight(rest)))
+        else:
+            w = weight(z)
+        return 2.0 * np.real(d * np.exp(z * ln_s) * w) + 0j
 
-    cap = _weight_cap(line, terms, s, tol_abs, None)
-    edges, (c,), (correct,) = _planned_edges(line, np.array([s]), tol_abs, cap)
+    cap = _weight_cap(np.abs(dens[:n_cap]) * np.abs(w_cap) * s ** R, tol_abs)
+    edges, (c,), (correct,) = _planned_edges(line, np.array([s]), tol_abs, cap,
+                                             amp)
     (value,), (err,), nodes, _ = numerics._adapt(fv, [edges], 0.1 * tol_abs,
                                                  node_budget)
     converged = err <= 5.0 * tol_abs
@@ -524,9 +613,13 @@ def integrate_measure(measure: TransformMeasure, s: float, weight=None, *,
     reconstruction, prices and hedge ratios.
 
     ``weight`` is a vectorized complex map (or None for the identity); it
-    must be conjugate-symmetric, as all cumulant-built weights are.  A
-    missed tolerance is flagged, not warned about: the public entry points
-    warn at their caller.
+    must be conjugate-symmetric, as all cumulant-built weights are.  The
+    quote weights of ``hedge`` are ``_TermsWeight``s, whose kernel terms
+    on the fixed block of each abscissa are evaluated once per
+    coefficient set and shared by later quotes (``_line_integral``; at
+    most ``_BLOCK_ENTRIES`` blocks are kept, and the result is bitwise the
+    same).  A missed tolerance is flagged, not warned about: the public
+    entry points warn at their caller.
     """
     if s <= 0.0:
         raise ValueError(f"s must be > 0, got {s}")
@@ -576,61 +669,49 @@ def evaluate_payoff(measure: TransformMeasure, s: float, *,
 _SPOT_BLOCK = 512
 
 
-def _planned_edges(line: Line, s_grid: np.ndarray, tol_abs: float, cap: float):
+def _planned_edges(line: Line, s_grid: np.ndarray, tol_abs: float, cap: float,
+                   amp: Optional[float] = None):
     """Fixed panel boundaries good for every s in the grid at once.
 
     Panel widths are limited by the phase velocity of the *still-active*
     grid points: once v exceeds the needed height c(s) of a point, that
     point stops constraining the plan (its nodes beyond c(s) are masked
-    out), so widths grow as the fast oscillators retire.  Returns
+    out), so widths grow as the fast oscillators retire.  The plan starts
+    with ``_BASE_EDGES``; every height is at least 64.  Returns
     ``(edges, c_per_s, correct_mask)``.
     """
     xs = np.abs(np.log(s_grid) - math.log(line.strike_scale))
-    heights, correct = _height_plan(line, s_grid, tol_abs, cap)
+    heights, correct = _height_plan(line, s_grid, tol_abs, cap, amp)
     c_per_s = np.minimum(heights, cap)
     c_max = float(np.max(c_per_s))
     order = np.argsort(c_per_s)          # retirement order
-    cs_sorted = c_per_s[order]
+    cs_sorted = c_per_s[order].tolist()
     # suffix maximum of |x| over points whose c(s) >= current height
-    x_suffix = np.maximum.accumulate(xs[order][::-1])[::-1]
-
-    def width_at(v: float) -> float:
-        i = np.searchsorted(cs_sorted, v, side="right")
-        if i >= cs_sorted.size:
-            return 0.6 * v
-        x_act = x_suffix[i]
-        w_osc = 2.5 / x_act if x_act > 1e-12 else math.inf
-        return min(w_osc, max(0.6 * v, 0.5))
-
-    edges = [0.0]
-    base = min(8.0, c_max)
-    n_base = 12
-    edges.extend(base * (k + 1) / n_base for k in range(n_base))
-    v = base
+    x_suffix = np.maximum.accumulate(xs[order][::-1])[::-1].tolist()
+    n = len(cs_sorted)
+    edges = _BASE_EDGES.tolist()
+    v = edges[-1]
+    i = 0                                # points retired below v
     while v < c_max:
-        v = min(v + width_at(v), c_max)
+        # v only grows, so the retirement index only advances
+        while i < n and cs_sorted[i] <= v:
+            i += 1
+        if i == n:
+            width = 0.6 * v
+        else:
+            x_act = x_suffix[i]
+            w_osc = 2.5 / x_act if x_act > 1e-12 else math.inf
+            width = min(w_osc, max(0.6 * v, 0.5))
+        v = min(v + width, c_max)
         edges.append(v)
     return np.asarray(edges), c_per_s, correct
 
 
-# candidate weight caps: doublings from 64 below 1e9
-_CAP_HEIGHTS = 64.0 * 2.0 ** np.arange(24)
-
-
-def _weight_cap(line: Line, terms, s_hi: float, tol_abs: float, times):
+def _weight_cap(mag, tol_abs: float) -> float:
     """Height beyond which the integrand of every row is negligible for
     good, or ``_NO_CAP`` when none is found below 1e9 (as for an undamped
-    row).  The peak and every candidate height are probed in one call of
-    ``terms``."""
-    R = line.abscissa
-    z = R + 1j * np.concatenate(([0.5, 1.0], 0.71 * _CAP_HEIGHTS, _CAP_HEIGHTS))
-    rows, rate = terms(z)
-    mag = np.max(np.abs(rows), axis=0)
-    if rate is not None:
-        t_ends = np.array([np.min(times), np.max(times)])
-        mag = mag * np.max(np.exp(np.multiply.outer(np.real(rate), t_ends)),
-                           axis=-1)
-    mag = np.abs(line.density(z)) * mag * s_hi ** R
+    row), given a bound ``mag`` of the integrand's modulus over the rows
+    at ``_CAP_PROBES``."""
     peak = float(np.max(mag[:2])) + 1e-300
     tails = mag[2:].reshape(2, -1).max(axis=0) * _CAP_HEIGHTS
     small = np.flatnonzero(tails < 1e-3 * tol_abs + 1e-16 * peak)
@@ -773,8 +854,17 @@ def _line_rows(line: Line, s_grid, ln_s, terms, tol_abs, times):
     """One line's contribution to every row on the grid, each spot
     truncated at its own height with its oscillatory tail completed.
     Returns ``(values, err_estimate)``."""
-    cap = _weight_cap(line, terms, float(np.max(s_grid)), tol_abs, times)
-    edges, c_per_s, correct = _planned_edges(line, s_grid, tol_abs, cap)
+    R = line.abscissa
+    z = R + 1j * _CAP_PROBES
+    rows, rate = terms(z)
+    mag = np.max(np.abs(rows), axis=0)
+    if rate is not None:
+        t_ends = np.array([np.min(times), np.max(times)])
+        mag = mag * np.max(np.exp(np.multiply.outer(np.real(rate), t_ends)),
+                           axis=-1)
+    mag = np.abs(line.density(z)) * mag * float(np.max(s_grid)) ** R
+    edges, c_per_s, correct = _planned_edges(line, s_grid, tol_abs,
+                                             _weight_cap(mag, tol_abs))
     # panel-aligned cutoffs: first edge at or above the needed height
     cut = edges[np.minimum(np.searchsorted(edges, c_per_s), edges.size - 1)]
 
