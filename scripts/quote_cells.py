@@ -36,10 +36,10 @@ Usage:
       merge runs of two trees (the first run of each side gives the
       values; every run gives both times) into one record with its checks
       and its totals per model and payoff.  The checks count the cells
-      equal bit for bit in value, estimate, nodes and flag.  Cells converged on both sides
-      whose values differ by more than the summed estimates are listed;
-      runs given as ``--reference`` (a run of those cells at a tighter
-      ``--tol``) tell which side is off.
+      equal bit for bit in value, estimate, nodes and flag.  Cells
+      converged on both sides whose values differ by more than the
+      summed estimates are listed; runs given as ``--reference`` (a run
+      of those cells at a tighter ``--tol``) tell which side is off.
 """
 
 import argparse

@@ -124,7 +124,7 @@ def test_the_block_caches_stay_bounded():
     assert grown < 2 * 2 ** 20
 
 
-def test_the_block_starts_every_plan():
+def test_the_block_starts_every_plan(monkeypatch):
     line = lh.call(99.0).lines()[0]
     edges, _, _ = po._planned_edges(line, np.array([101.0]), 1e-8, 256.0)
     assert math.isclose(edges[12], 8.0) and edges[13] > 8.0
@@ -132,3 +132,19 @@ def test_the_block_starts_every_plan():
     x = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * po.numerics._K15_NODES
                         for a, b in zip(edges[:12], edges[1:13])])
     assert np.array_equal(po._BLOCK_V[n_cap:], x)
+    # the first integrand call of a quote evaluates those nodes first,
+    # which is what lets it take their values from the block
+    first = []
+    adapt = po.numerics._adapt
+
+    def spy(fv, intervals, *args, **kwargs):
+        def recorded(v, *rest):
+            if not first:
+                first.append(np.array(v))
+            return fv(v, *rest)
+        return adapt(recorded, intervals, *args, **kwargs)
+
+    monkeypatch.setattr(po.numerics, "_adapt", spy)
+    lh.initial_capital_ct(lh.coefficients_ct(MODELS["hyperbolic"], T),
+                          lh.call(99.0), 101.0)
+    assert np.array_equal(first[0][:x.size], x)
