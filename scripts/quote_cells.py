@@ -115,7 +115,7 @@ def run(src_root, out_path, tol, only):
                                         tol_abs=tol * (1.0 + spot))
 
         # trees from before the fixed-block caches have none to clear
-        for cache in ("_terms_block", "_line_block"):
+        for cache in ("_cap_terms", "_line_block"):
             if hasattr(po, cache):
                 getattr(po, cache).cache_clear()
         t0 = time.process_time()

@@ -129,9 +129,9 @@ class ForbiddenJumpError(ValueError):
 # Each coefficient class supplies what differs between the time models:
 # ``_quote_weight`` (the range check of a quote date, the time left after
 # it, and the weight of H or xi as a ``payoffs._TermsWeight`` of its terms,
-# so that quotes against one coefficient set share the terms on the fixed
-# block of their line integrals) and ``_pair_kernel`` (the error-variance
-# kernel, or None when the market is complete).
+# so that quotes against one coefficient set share the terms at the
+# weight-cap probes of their line integrals) and ``_pair_kernel`` (the
+# error-variance kernel, or None when the market is complete).
 # ---------------------------------------------------------------------------
 
 def _exp_diff_quotient(w):

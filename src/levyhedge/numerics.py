@@ -348,8 +348,22 @@ _K15 = (_K15_NODES, _K15_WEIGHTS)
 # 12-point Gauss-Legendre: K15's polynomial degree (23) on 12 nodes, and
 # at least as fast on analytic integrands.  The tensor passes of the
 # double contour run on it; everything that needs K15's G7 error
-# estimate or K15's coarse-probe accuracy stays on K15.
-_G12 = np.polynomial.legendre.leggauss(12)
+# estimate or K15's coarse-probe accuracy stays on K15.  The nodes and
+# weights of numpy.polynomial.legendre.leggauss(12), written out so that
+# importing the package does not load numpy.polynomial.
+_G12_NODES = np.array([
+    -0.9815606342467192, -0.9041172563704748, -0.7699026741943047,
+    -0.5873179542866175, -0.3678314989981802, -0.1252334085114689,
+    0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+    0.7699026741943047, 0.9041172563704748, 0.9815606342467192,
+])
+_G12_WEIGHTS = np.array([
+    0.04717533638651141, 0.10693932599531907, 0.16007832854334642,
+    0.20316742672306573, 0.2334925365383546, 0.2491470458134027,
+    0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
+    0.16007832854334642, 0.10693932599531907, 0.04717533638651141,
+])
+_G12 = (_G12_NODES, _G12_WEIGHTS)
 
 
 def _eval_panels(fv, a, b, owner=None):

@@ -490,8 +490,8 @@ class _TermsWeight:
     ``form(*source(z)[-2:])``, with ``source`` a coefficient set's bound
     ``moment_terms`` or ``cumulant_terms`` (whose last two terms are
     ``g, h`` and ``gamma, eta``) and ``form`` the quote's elementwise map
-    of them, such as ``g h^k``.  Line integrals take the terms on the
-    fixed block of the one-spot plan from ``_terms_block``."""
+    of them, such as ``g h^k``.  Line integrals take the terms at the
+    weight-cap probes from ``_cap_terms``."""
 
     source: Callable
     form: Callable
@@ -522,12 +522,12 @@ def _read_only(a):
 
 
 @functools.lru_cache(maxsize=_BLOCK_ENTRIES)
-def _terms_block(source, R: float):
-    """The last two terms of ``source`` on the fixed block of abscissa R.
+def _cap_terms(source, R: float):
+    """The last two terms of ``source`` at the cap probes of abscissa R.
     Bound methods hash by their object's identity, and the cache holds
     the object, so an entry serves exactly the coefficient set it came
     from."""
-    return tuple(map(_read_only, source(R + 1j * _BLOCK_V)[-2:]))
+    return tuple(map(_read_only, source(R + 1j * _CAP_PROBES)[-2:]))
 
 
 @functools.lru_cache(maxsize=_BLOCK_ENTRIES)
@@ -552,44 +552,37 @@ def _line_integral(line: Line, weight, s: float, tol_abs: float,
 
     Every plan on abscissa R starts at the same points, ``_BLOCK_V``: the
     weight-cap probes and the nodes of the base panels.  The line's
-    density there, and the terms of a ``_TermsWeight`` there, come from
-    caches of ``_BLOCK_ENTRIES`` entries each (per line, and per terms
-    source and abscissa), so quotes against one fit evaluate the time
-    kernel only above the base panels.  Every value involved is
-    elementwise, so a quote is bitwise the same warm or cold.  Other
-    weights are evaluated on every node, as is ``s^z``.
+    density there comes from a cache per line, and the terms of a
+    ``_TermsWeight`` at the cap probes from a cache per terms source and
+    abscissa, each of ``_BLOCK_ENTRIES`` entries; so a quote evaluates
+    the time kernel only on its plan's nodes, in one call.  Every value
+    involved is elementwise, so a quote is bitwise the same warm or cold.
+    Other weights, ``s^z`` and the kernel on the nodes are evaluated per
+    quote.
     """
     R = line.abscissa
     ln_s = math.log(s)
     dens, amp = _line_block(line)
     n_cap = _CAP_PROBES.size
     n_base = _BLOCK_V.size - n_cap
-    source = getattr(weight, "source", None)
-    if source is not None:
-        w_block = weight.form(*_terms_block(source, R))
-        w_cap = w_block[:n_cap]
-    elif weight is None:
-        w_cap = np.ones(n_cap)
+    if weight is None:
+        w_cap = 1.0
+    elif isinstance(weight, _TermsWeight):
+        w_cap = weight.form(*_cap_terms(weight.source, R))
     else:
-        w_cap = np.asarray(weight(R + 1j * _CAP_PROBES))
+        w_cap = weight(R + 1j * _CAP_PROBES)
     first = True
 
     def fv(v):
         nonlocal first
         z = R + 1j * v
-        # the first call's leading nodes are the block's base nodes
-        block, first = first, False
-        if block:
-            rest = z[n_base:]
-            d = np.concatenate((dens[n_cap:], line.density(rest)))
+        if first:
+            # the first call's leading nodes are the block's base nodes
+            first = False
+            d = np.concatenate((dens[n_cap:], line.density(z[n_base:])))
         else:
             d = line.density(z)
-        if weight is None:
-            w = 1.0
-        elif block and source is not None:
-            w = np.concatenate((w_block[n_cap:], weight(rest)))
-        else:
-            w = weight(z)
+        w = 1.0 if weight is None else weight(z)
         return 2.0 * np.real(d * np.exp(z * ln_s) * w) + 0j
 
     cap = _weight_cap(np.abs(dens[:n_cap]) * np.abs(w_cap) * s ** R, tol_abs)
@@ -615,11 +608,12 @@ def integrate_measure(measure: TransformMeasure, s: float, weight=None, *,
     ``weight`` is a vectorized complex map (or None for the identity); it
     must be conjugate-symmetric, as all cumulant-built weights are.  The
     quote weights of ``hedge`` are ``_TermsWeight``s, whose kernel terms
-    on the fixed block of each abscissa are evaluated once per
-    coefficient set and shared by later quotes (``_line_integral``; at
-    most ``_BLOCK_ENTRIES`` blocks are kept, and the result is bitwise the
-    same).  A missed tolerance is flagged, not warned about: the public
-    entry points warn at their caller.
+    at the weight-cap probes of each abscissa are evaluated once per
+    coefficient set, as is each line's density on the fixed block of its
+    plans, and shared by later quotes (``_line_integral``; at most
+    ``_BLOCK_ENTRIES`` entries are kept per cache, and the result is
+    bitwise the same).  A missed tolerance is flagged, not warned about:
+    the public entry points warn at their caller.
     """
     if s <= 0.0:
         raise ValueError(f"s must be > 0, got {s}")

@@ -515,6 +515,12 @@ def test_g12_rule_integrates_polynomials_to_degree_23():
     assert abs(w @ x ** 24 - 2.0 / 25) > 1e-8
 
 
+def test_g12_rule_is_numpys_leggauss_bit_for_bit():
+    x, w = np.polynomial.legendre.leggauss(12)
+    assert np.array_equal(numerics._G12[0], x)
+    assert np.array_equal(numerics._G12[1], w)
+
+
 def test_double_contour_fine_passes_on_g12_probe_on_k15(monkeypatch):
     passes = []
     inner = numerics._tensor_value

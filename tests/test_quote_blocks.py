@@ -1,11 +1,12 @@
 """The fixed block shared by quotes against one fit.
 
 Every quote on abscissa R starts its line integral at the same points
-(``payoffs._BLOCK_V``); the time kernel's terms and the claim's density
-there are cached per terms source and abscissa, and per line.  These
+(``payoffs._BLOCK_V``: the weight-cap probes, then the base panels'
+nodes); the claim's density there is cached per line, and the time
+kernel's terms at the cap probes per terms source and abscissa.  These
 tests pin that a cached quote is bit for bit the uncached one, that a
-repeat quote evaluates the kernel off the block only, and that the caches
-stay bounded.
+repeat quote evaluates the kernel in one call on its plan's nodes only,
+and that the caches stay bounded.
 """
 
 import gc
@@ -42,7 +43,7 @@ KERNELS = {"N=12": (lambda m: lh.coefficients(m, T, N), 6),
 
 
 def clear_blocks():
-    po._terms_block.cache_clear()
+    po._cap_terms.cache_clear()
     po._line_block.cache_clear()
 
 
@@ -73,30 +74,37 @@ def test_a_quote_is_bitwise_the_same_cold_warm_and_uncached(model, payoff,
     assert fields(cold) == fields(warm) == fields(plain)
 
 
-def test_a_second_quote_evaluates_the_kernel_off_the_block_only(monkeypatch):
+def test_a_second_quote_evaluates_the_kernel_on_its_nodes_only(monkeypatch):
     co = lh.coefficients_ct(MODELS["hyperbolic"], T)
     measure = lh.call(99.0)
     tol = 1e-8 * (1.0 + 105.0)
     clear_blocks()
     first = po.integrate_measure(measure, 103.0, co._quote_weight(0.0, False),
                                  tol_abs=tol)
-    calls = []
-    cumulant = mdl.cumulant
+    calls, nodes = [], []
+    cumulant, adapt = mdl.cumulant, po.numerics._adapt
 
     def spy(model, z):
         calls.append(np.array(z, dtype=complex))
         return cumulant(model, z)
 
+    def recording_adapt(fv, intervals, *args, **kwargs):
+        def recorded(v, *rest):
+            nodes.append(np.array(v))
+            return fv(v, *rest)
+        return adapt(recorded, intervals, *args, **kwargs)
+
     monkeypatch.setattr(mdl, "cumulant", spy)
+    monkeypatch.setattr(po.numerics, "_adapt", recording_adapt)
     second = po.integrate_measure(measure, 105.0, co._quote_weight(0.1, True),
                                   tol_abs=tol)
     assert first.converged and second.converged
-    assert len(calls) == 1
+    # one integrand call, and one kernel call: the stacked z and z + 1 of
+    # exactly its nodes, so none at the cap probes
+    assert len(nodes) == len(calls) == 1
     (z,) = calls
-    # the stacked z and z + 1 of the nodes above the base panels
     assert np.all(z.real == np.array([[1.5], [2.5]]))
-    assert not np.isin(z.imag, po._BLOCK_V).any()
-    assert np.min(z.imag) > 8.0
+    assert np.array_equal(z.imag, np.stack((nodes[0], nodes[0])))
 
 
 def test_the_block_caches_stay_bounded():
@@ -119,7 +127,7 @@ def test_the_block_caches_stay_bounded():
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    for cache in (po._terms_block, po._line_block):
+    for cache in (po._cap_terms, po._line_block):
         assert cache.cache_info().currsize == po._BLOCK_ENTRIES == 64
     assert grown < 2 * 2 ** 20
 
