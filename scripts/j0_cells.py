@@ -20,7 +20,12 @@ T = 0.25 and the default tol throughout.  Each cell records J0, the
 error estimate, nodes_used, the converged flag, the tensor passes beyond
 each block's base and probe pass ("refinement_passes"), the share of the
 fundamental-domain cells of its tensor passes that were not evaluated
-("skipped_cell_share") and the CPU seconds of the call.
+("skipped_cell_share"), the CPU seconds of the call, and per tensor
+block whether its far-ridge integral ran and the ridge tail it counted
+in its estimate instead ("far_ridge": {"ran", "counted_ridge_tail"},
+the tail null when no line pair of the block reaches the far ridge or
+the tree does not count one).  "compare" lists the cells whose blocks
+changed whether they ran the far ridge.
 
 Usage:
   python scripts/j0_cells.py run SRC_ROOT OUT.json
@@ -83,7 +88,7 @@ def cells():
 def run(src_root, out_path):
     sys.path.insert(0, str(pathlib.Path(src_root).resolve() / "src"))
     import levyhedge as lh
-    from levyhedge import numerics
+    from levyhedge import numerics, payoffs
 
     passes = []
     inner = numerics._tensor_value
@@ -97,6 +102,18 @@ def run(src_root, out_path):
         return out
 
     numerics._tensor_value = spy
+    plans = []
+    plan_block = payoffs._plan_block
+
+    def plan_spy(*args):
+        # (cy, cz, tails, needs_far_part, max_panel_width[, ridge_tail])
+        plan = plan_block(*args)
+        plans.append(dict(ran=bool(plan[3]), counted_ridge_tail=(
+            None if plan[3] or len(plan) < 6 or plan[5] is None
+            else float(plan[5]))))
+        return plan
+
+    payoffs._plan_block = plan_spy
     warnings.simplefilter("ignore")
     records = []
     for cell_set, model, payoff, N, S0 in cells():
@@ -106,6 +123,7 @@ def run(src_root, out_path):
               else lh.coefficients(spec, T, N))
         measure = PAYOFFS[payoff](lh)
         passes.clear()
+        plans.clear()
         t0 = time.process_time()
         j0, res = lh.error_variance(co, measure, S0, return_result=True)
         seconds = time.process_time() - t0
@@ -118,7 +136,7 @@ def run(src_root, out_path):
             nodes_used=int(res.nodes_used), converged=bool(res.converged),
             refinement_passes=len(passes) - 2 * probes,
             skipped_cell_share=round(1.0 - evaluated / full, 4) if full else 0.0,
-            s=round(seconds, 4)))
+            s=round(seconds, 4), far_ridge=list(plans)))
     pathlib.Path(out_path).write_text(json.dumps(records, indent=1) + "\n")
 
 
@@ -201,6 +219,16 @@ def compare(out_path, parent_paths, change_paths):
              "change_estimate": c["change"]["error_estimate"]}
             for c in logs if abs(c["change_miss"]) > abs(c["parent_miss"])],
         "log_flags_unchanged": all(map(same_flags, logs)),
+        "far_ridge_changed": [
+            {"cell": f'{c["model"]} {c["payoff"]} N={c["N"]}',
+             "parent_ran": [b["ran"] for b in c["parent"]["far_ridge"]],
+             "change_ran": [b["ran"] for b in c["change"]["far_ridge"]],
+             "change_counted_ridge_tail": [
+                 b["counted_ridge_tail"] for b in c["change"]["far_ridge"]]}
+            for c in merged if "far_ridge" in c["parent"]
+            and "far_ridge" in c["change"]
+            and [b["ran"] for b in c["parent"]["far_ridge"]]
+            != [b["ran"] for b in c["change"]["far_ridge"]]],
     }
     record = {"checks": checks,
               "totals": {"grid": totals(grid), "log": totals(logs)},

@@ -964,14 +964,20 @@ def _pair_truncation(axis_slice, anti_slice, tol_abs: float):
     Two tails must die: the axis tail (companion variable small), probed
     directly, and the antidiagonal ridge, where the joint moment factor
     stops decaying and only the density product falls off.  If the ridge
-    cannot be exhausted by a moderate height, the region beyond is handed
-    to ``_far_ridge_integral`` instead of growing the tensor grid.  Both
-    slices are vectorized; every candidate height is probed in one call.
-    Returns ``(height, tail_estimate, needs_far_part)``.
+    cannot be exhausted by a moderate height, the tensor grid stops there
+    and the region beyond is the far ridge; the tail estimate is then the
+    axis tail alone, and the kernel's magnitude at the ridge point of that
+    height is returned for ``_plan_pair`` to extrapolate the ridge from.
+    Both slices are vectorized; every candidate height, and the soft cap,
+    is probed in one call.  Returns ``(height, tail_estimate,
+    ridge_magnitude)``, the magnitude None when the ridge dies below the
+    height.
     """
-    v = np.concatenate((_PROBE_HEIGHTS, 0.71 * _PROBE_HEIGHTS))
+    heights = np.append(_PROBE_HEIGHTS, _PAIR_SOFT_CAP)
+    v = np.concatenate((heights, 0.71 * heights))
     axis = np.abs(axis_slice(v)).reshape(2, -1).max(axis=0)
-    ridge = np.abs(anti_slice(v)).reshape(2, -1).max(axis=0)
+    anti = np.abs(anti_slice(v)).reshape(2, -1)
+    ridge = anti.max(axis=0)
     c_axis = None
     for c, ax, rg in zip(_PROBE_HEIGHTS.tolist(), axis.tolist(),
                          ridge.tolist()):
@@ -979,8 +985,10 @@ def _pair_truncation(axis_slice, anti_slice, tol_abs: float):
             c_axis = c
         tail = ax * c + rg * c * _RIDGE_WIDTH
         if tail < 0.3 * tol_abs:
-            return c, tail, False
-    return max(c_axis or _PAIR_SOFT_CAP, 1024.0), 0.0, True
+            return c, tail, None
+    c = max(c_axis or _PAIR_SOFT_CAP, 1024.0)
+    k = heights.tolist().index(c)
+    return c, float(axis[k]) * c, float(anti[0, k])
 
 
 _RIDGE_OFFSETS = np.array([0.0, 10.0, 20.0, 40.0, 80.0, 160.0, 320.0, 640.0])
@@ -1107,7 +1115,18 @@ def _group_kernel(kernel, group_y, group_z):
 def _plan_pair(kernel, li: Line, lj: Line, tol_abs: float, diagonal: bool):
     """Truncation plan of the block between lines ``li`` (y) and ``lj``
     (z) alone, or of one line with itself if ``diagonal``:
-    ``(cy, cz, tails, needs_far_part, ridge_width)``."""
+    ``(cy, cz, tails, ridge_tail, ridge_width)``.
+
+    ``ridge_tail`` is None unless an axis needs the far ridge.  Then both
+    heights rise to the larger, and the ridge beyond the height h of such
+    an axis is extrapolated as a truncation tail.  Along the ridge the
+    kernel falls like the product of the densities, ``v^-(p_y + p_z)``
+    with the lines' decay powers, and across it spans a few transverse
+    widths w, so its two conjugate halves hold about ``2 |K(h)| h /
+    (p_y + p_z - 1) * 4 w``, with ``|K(h)|`` the kernel's magnitude at
+    the ridge point of height h.  Where both axes need it, the higher h
+    and then the larger magnitude count.
+    """
     group_y = [li]
     pair_kernel = _group_kernel(kernel, group_y,
                                 group_y if diagonal else [lj])
@@ -1117,48 +1136,64 @@ def _plan_pair(kernel, li: Line, lj: Line, tol_abs: float, diagonal: bool):
         # the kernel at y = Ri + i dy v, z = Rj + i dz v
         return lambda v: pair_kernel(Ri + 1j * (dy * v), Rj + 1j * (dz * v))
 
-    ci, tail_i, far_i = _pair_truncation(along(1.0, 0.0), along(1.0, -1.0),
-                                         tol_abs)
-    cj, tail_j, far_j = _pair_truncation(along(0.0, 1.0), along(-1.0, 1.0),
-                                         tol_abs)
-    far = far_i or far_j
+    ci, tail_i, ridge_i = _pair_truncation(along(1.0, 0.0),
+                                           along(1.0, -1.0), tol_abs)
+    cj, tail_j, ridge_j = _pair_truncation(along(0.0, 1.0),
+                                           along(-1.0, 1.0), tol_abs)
+    far = [(c, mag) for c, mag in ((ci, ridge_i), (cj, ridge_j))
+           if mag is not None]
     if far:
         ci = cj = max(ci, cj)
     width = _ridge_transverse_width(pair_kernel, Ri, Rj, max(ci, cj))
-    return ci, cj, (tail_i, tail_j), far, width
+    if not far:
+        return ci, cj, (tail_i, tail_j), None, width
+    h, mag = max(far)
+    p = li.decay_power + lj.decay_power
+    ridge_tail = 2.0 * mag * h / (p - 1.0) * 4.0 * width
+    return ci, cj, (tail_i, tail_j), ridge_tail, width
 
 
 def _plan_block(kernel, group_y, group_z, tol_abs: float):
     """Truncation plan of the block between two groups of lines, taken
     from the plans of its line pairs as each would be planned alone.
 
-    Heights are the largest of the pairs', tails are summed, the far
-    ridge runs if any pair needs it, and the panel-width cap is the
-    smallest.  Probing the summed kernel instead is unsafe: two nearby
-    strikes' densities beat, so their sum can cancel at a probe height
-    where its parts do not.  Within one group the mirror of a distinct
-    pair is planned by swapping its axes.  Returns ``(cy, cz, tails,
-    needs_far_part, max_panel_width)``.
+    Heights are the largest of the pairs', tails are summed, and the
+    panel-width cap is the smallest.  Probing the summed kernel instead
+    is unsafe: two nearby strikes' densities beat, so their sum can
+    cancel at a probe height where its parts do not.  Within one group
+    the mirror of a distinct pair is planned by swapping its axes.  The
+    ridge tails of the pairs that need the far ridge are summed the same
+    way; if the sum is within the share ``_pair_truncation`` grants a
+    tail, ``0.3 tol_abs``, it joins the tails and the block is planned as
+    one without a far ridge.  Otherwise the far-ridge integral runs, on
+    equal heights and a narrower panel cap.  Returns ``(cy, cz, tails,
+    needs_far_part, max_panel_width, ridge_tail)``, ``ridge_tail`` None
+    when no pair needs the far ridge.
     """
     same = group_z is group_y
     cy = cz = 0.0
-    tails, far, width = [], False, math.inf
+    tails, ridge_tail, width = [], None, math.inf
     for i, li in enumerate(group_y):
         for j in range(i if same else 0, len(group_z)):
             diagonal = same and j == i
-            ci, cj, pair_tails, pair_far, pair_width = _plan_pair(
+            ci, cj, pair_tails, pair_ridge, pair_width = _plan_pair(
                 kernel, li, group_z[j], tol_abs, diagonal)
             mirrored = same and not diagonal
             cy = max(cy, ci, cj if mirrored else ci)
             cz = max(cz, cj, ci if mirrored else cj)
             tails += pair_tails * (2 if mirrored else 1)
-            far = far or pair_far
+            if pair_ridge is not None:
+                ridge_tail = ((ridge_tail or 0.0)
+                              + pair_ridge * (2 if mirrored else 1))
             width = min(width, pair_width)
+    far = ridge_tail is not None and not ridge_tail <= 0.3 * tol_abs
     if far:
         cy = cz = max(cy, cz)
+    elif ridge_tail is not None:
+        tails.append(ridge_tail)
     # the uniform-refinement error check guards the ridge already; the
     # cap only needs to bring it within reach
-    return cy, cz, tails, far, width * (1.5 if far else 3.0)
+    return cy, cz, tails, far, width * (1.5 if far else 3.0), ridge_tail
 
 
 def double_integrate_measure(measure: TransformMeasure, kernel, *,
@@ -1172,9 +1207,12 @@ def double_integrate_measure(measure: TransformMeasure, kernel, *,
     each abscissa's lines multiplied into its leading axis factor (see
     ``_plan_block`` for its truncation).  A block within one abscissa
     folds the swap of y and z; a block between two is evaluated once
-    with weight two.  Line-point blocks reduce to single contour
-    integrals; point-point blocks are evaluated directly.  A missed
-    tolerance is flagged, not warned about.
+    with weight two.  A block runs the far-ridge integral only when the
+    ridge its line pairs extrapolate beyond their heights exceeds the
+    share of ``tol_abs`` a truncation tail gets; a smaller ridge is a
+    tail in the block's estimate.  Line-point blocks reduce to single
+    contour integrals; point-point blocks are evaluated directly.  A
+    missed tolerance is flagged, not warned about.
     """
     lines = measure.lines()
     pms = measure.point_masses()
@@ -1192,7 +1230,8 @@ def double_integrate_measure(measure: TransformMeasure, kernel, *,
         for gj in groups[i:]:
             same = gj is gi
             factor = 1.0 if same else 2.0
-            ci, cj, tails, far, width = _plan_block(kernel, gi, gj, tol_abs)
+            ci, cj, tails, far, width, _ = _plan_block(kernel, gi, gj,
+                                                       tol_abs)
             pair_kernel = _group_kernel(kernel, gi, gj)
             Ri, Rj = gi[0].abscissa, gj[0].abscissa
             res = numerics.double_contour_integrate(

@@ -2,8 +2,10 @@
 
 The values were computed at commit 615e868, with the tensor passes on
 12-point Gauss-Legendre panels, the error probe on K15, and every pass
-banded around the ridge (see CHANGES.md for each cell's old and new
-value, nodes and estimate).  A change that makes J0 cheaper keeps its
+banded around the ridge.  The NIG and VG calls, the NIG cross spread and
+the Hyperbolic call were re-pinned when a far ridge whose extrapolated
+tail fits the tail share became a counted tail instead of an integral
+(see CHANGES.md for each cell's old and new value, nodes and estimate).  A change that makes J0 cheaper keeps its
 nodes and flags, and moves its values only by rounding.  A change that
 makes J0 take fewer nodes re-pins the cells it moves, with evidence that
 the new values are no worse.
@@ -29,23 +31,23 @@ PAYOFFS = {
 
 # (model, payoff, N or None for continuous time, J0, nodes_used): each
 # of the three MC-verified models meets each payoff and each N at least
-# once; the Hyperbolic call refines its tensor layout once
+# once; the Hyperbolic call refines its tensor layout twice
 CELLS = [
-    ("nig", "call", 1, 8.06703282501359, 46950),
-    ("nig", "call", 12, 1.0441816499851622, 51381),
-    ("nig", "call", None, 0.2571898866551003, 52740),
+    ("nig", "call", 1, 8.067029258660204, 25476),
+    ("nig", "call", 12, 1.0441780819107132, 26421),
+    ("nig", "call", None, 0.2571864245420811, 26277),
     ("nig", "digital", 12, 0.03813366057381526, 48744),
     ("nig", "spread", None, 0.2239985764414907, 90210),
-    ("nig", "cross_spread", 12, 0.8549708527759474, 169440),
-    ("vg", "call", 1, 21.223207633543176, 362265),
-    ("vg", "call", 12, 14.169329492301209, 487032),
+    ("nig", "cross_spread", 12, 0.8549672886799222, 144336),
+    ("vg", "call", 1, 21.223203890861843, 108195),
+    ("vg", "call", 12, 14.169325746279283, 135876),
     ("vg", "digital", None, 0.09400866515063375, 485724),
     ("vg", "spread", 1, 6.050918085658686, 374961),
     ("merton", "call", None, 3.9277133366169696, 44493),
     ("merton", "digital", 1, 0.10504693774957626, 53541),
     ("merton", "digital", 12, 0.07090398437384443, 54486),
     ("merton", "spread", 12, 2.526062169874435, 56955),
-    ("hyperbolic", "call", None, 22.749016600961824, 163953),
+    ("hyperbolic", "call", None, 22.749014802811896, 205377),
 ]
 # relative tolerance of J0: 1e-13, and 1e-12 for the Hyperbolic cell, the
 # tolerance it was pinned with before it joined this table

@@ -63,18 +63,20 @@ def test_block_plan_covers_every_line_pair(monkeypatch):
     narrow = lh.call(99.5) - lh.call(100.5)
     truncations = _spy(monkeypatch, payoffs, "_pair_truncation")
     widths = _spy(monkeypatch, payoffs, "_ridge_transverse_width")
+    plans = _spy(monkeypatch, payoffs, "_plan_block")
     blocks = _spy(monkeypatch, numerics, "double_contour_integrate")
     lh.error_variance(co, narrow, S0)
     [(args, kwargs, _)] = blocks
+    [(_, _, (_, _, _, block_far, _, _))] = plans
     cy, cz = args[1].truncation, args[2].truncation
     # the pairs (99.5, 99.5), (99.5, 100.5) and (100.5, 100.5): each
     # probes both axes, then its ridge width
     assert len(truncations) == 2 * len(widths) == 6
     for k, (_, _, width) in enumerate(widths):
-        (ci, _, far_i), (cj, _, far_j) = (truncations[2 * k][2],
-                                          truncations[2 * k + 1][2])
+        (ci, _, _), (cj, _, _) = (truncations[2 * k][2],
+                                  truncations[2 * k + 1][2])
         assert min(cy, cz) >= max(ci, cj)
-        cap = width * (1.5 if far_i or far_j else 3.0)
+        cap = width * (1.5 if block_far else 3.0)
         assert kwargs["max_panel_width"] <= cap
 
 
@@ -133,9 +135,10 @@ def _merton_single_date_j0(kinks, pieces):
 
 
 # ROADMAP item 3: J0's estimate does not see its truncation.  Each cell
-# misses the gate by far more than its estimate; the multi-line payoffs
-# do so with the lines in one block and with each line pair in a block of
-# its own alike.
+# named here misses the gate by far more than its estimate; the
+# multi-line payoffs do so with the lines in one block and with each
+# line pair in a block of its own alike.  The call and the put miss by
+# the far ridge they skip, which their estimates count.
 ORACLE_PAYOFFS = {
     "call": lambda: lh.call(99.0),
     "put": lambda: lh.put(101.0),
@@ -143,10 +146,6 @@ ORACLE_PAYOFFS = {
     **SAME_ABSCISSA,
 }
 ORACLE_MISSES = {
-    "call": "J0 9.2869074423 against 9.2869075005 (-5.82e-8, estimate "
-            "5.3e-9)",
-    "put": "J0 9.2682644101 against 9.2682644822 (-7.21e-8, estimate "
-           "5.7e-9)",
     "digital": "J0 0.1050469377 against 0.1050547054 (-7.77e-6, estimate "
                "4.3e-7)",
     "spread": "J0 4.3156975957 against 4.3156985571 (-9.6e-7, estimate "
@@ -160,8 +159,10 @@ ORACLE_MISSES = {
 
 
 @pytest.mark.parametrize("name", [
-    pytest.param(name, marks=pytest.mark.xfail(strict=True, reason=reason))
-    for name, reason in ORACLE_MISSES.items()])
+    pytest.param(name, marks=pytest.mark.xfail(
+        strict=True, reason=ORACLE_MISSES[name]))
+    if name in ORACLE_MISSES else name
+    for name in ORACLE_PAYOFFS])
 def test_merton_single_date_oracle(name):
     truth = _merton_single_date_j0(*PIECES[name])
     co = lh.coefficients(MERTON, T, 1)
