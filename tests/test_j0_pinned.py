@@ -5,8 +5,9 @@ The values were computed at commit 615e868, with the tensor passes on
 banded around the ridge.  The NIG and VG calls, the NIG cross spread and
 the Hyperbolic call were re-pinned when a far ridge whose extrapolated
 tail fits the tail share became a counted tail instead of an integral
-(see CHANGES.md for each cell's old and new value, nodes and estimate).  A change that makes J0 cheaper keeps its
-nodes and flags, and moves its values only by rounding.  A change that
+(see CHANGES.md for each cell's old and new value, nodes and estimate).
+A change that makes J0 cheaper keeps its nodes and flags, and moves its
+values only by rounding.  A change that
 makes J0 take fewer nodes re-pins the cells it moves, with evidence that
 the new values are no worse.
 """
